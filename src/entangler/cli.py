@@ -35,6 +35,11 @@ __all__ = ["SweepSpec", "RunManifest", "ConfigError", "parse_config", "run", "ma
 
 STDOUT_MARKER = "-"
 
+# Largest accepted sweep_range step count: one row per step is computed and
+# held in memory before anything is written, so an unbounded count could run
+# for hours and exhaust memory.
+MAX_SWEEP_STEPS = 100_000
+
 TARGET_SOURCE = "source_delta_e"
 TARGET_CHANNEL = "channel_qlm"
 TARGET_TWOQUBIT = "twoqubit_eigen"
@@ -141,8 +146,13 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad sweep_range {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep_range start and stop must be finite; got {text!r}")
     if steps < 1:
         raise ConfigError("sweep_range steps must be >= 1")
+    if steps > MAX_SWEEP_STEPS:
+        raise ConfigError(
+            f"sweep_range steps must be <= {MAX_SWEEP_STEPS}; got {steps}")
     if start > stop:
         raise ConfigError("sweep_range start must be <= stop")
     return start, stop, steps
@@ -201,6 +211,8 @@ def _resolve(spec: SweepSpec) -> dict:
             raise ConfigError(
                 f"bad value {raw!r} for key {key!r} (expected {caster.__name__})"
             ) from None
+        if caster is float and not math.isfinite(resolved[key]):
+            raise ConfigError(f"non-finite value {raw!r} for key {key!r}")
     if spec.output_format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {spec.output_format!r}")
     if spec.sweep_key is not None:

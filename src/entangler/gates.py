@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "BELL_LABELS",
@@ -150,6 +149,8 @@ def exchange_evolution(pulse) -> Gate4:
 
 def exchange_evolution_expm(pulse) -> Gate4:
     """Same operator through the raw matrix exponential, for cross-checking."""
+    # Lazy: scipy.linalg adds ~0.27 s to start-up and only this check uses it.
+    from scipy.linalg import expm
     return Gate4(expm(-1j * _alpha_of(pulse) * spin_dot_operator()))
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "Grid1D",
@@ -203,6 +202,8 @@ def fd_schrodinger_oracle(potential: Callable[[np.ndarray], np.ndarray],
             f"grid too coarse: {grid.n_points} points for {n_levels} levels "
             f"(need at least {3 * n_levels})"
         )
+    # Lazy: scipy.linalg adds ~0.27 s to start-up and the CLI never calls this.
+    from scipy.linalg import eigh_tridiagonal
     y = grid.points()
     h = grid.spacing
     v = np.asarray(potential(y[1:-1]), dtype=float)

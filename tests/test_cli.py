@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from entangler.cli import ConfigError, SweepSpec, main, parse_config, run
+from entangler.cli import (MAX_SWEEP_STEPS, ConfigError, SweepSpec, main,
+                           parse_config, run)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -56,6 +63,12 @@ class TestParseConfig:
     def test_bad_sweep_range(self):
         with pytest.raises(ConfigError, match="sweep_range"):
             parse_config("target=gate_check\nsweep_key=alpha\nsweep_range=1,0,2")
+
+    def test_sweep_steps_cap(self):
+        base = "target=gate_check\nsweep_key=alpha\nsweep_range=0,1,"
+        assert parse_config(f"{base}{MAX_SWEEP_STEPS}").sweep_range[2] == MAX_SWEEP_STEPS
+        with pytest.raises(ConfigError, match="sweep_range"):
+            parse_config(f"{base}{MAX_SWEEP_STEPS + 1}")
 
 
 class TestRun:
@@ -192,6 +205,21 @@ class TestMain:
     def test_bad_set_value(self, capsys):
         assert main(["gates", "--set", "alpha"]) == 2
 
+    @pytest.mark.parametrize("args, key", [
+        (["gates", "--set", "alpha=nan"], "alpha"),
+        (["source", "--set", "omega=nan"], "omega"),
+        (["channel", "--set", "omega=inf"], "omega"),
+        (["source", "--set", "sweep_key=alpha_r",
+          "--set", "sweep_range=0,nan,3"], "sweep_range"),
+    ])
+    def test_non_finite_exits_two_without_output(self, tmp_path, capsys,
+                                                 args, key):
+        out = tmp_path / "never.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "never.csv.manifest.json").exists()
+
     def test_fig2_style_chart_is_well_formed(self, tmp_path):
         out = tmp_path / "chart.csv"
         rc = main(["source", "--out", str(out)])
@@ -201,3 +229,30 @@ class TestMain:
         rows = [list(map(float, line.split(","))) for line in lines[1:]]
         assert len(rows) == 5 * 21
         assert all(r[4] >= 0.0 for r in rows)
+
+
+_IMPORT_PROBE = """
+import json, os, sys
+from entangler.cli import main
+out = sys.argv[1]
+codes = {c: main([c, "--out", os.path.join(out, c + ".csv")])
+         for c in ("source", "channel", "twoqubit")}
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes["gates"] = main(["gates", "--out", os.path.join(out, "gates.csv")])
+print(json.dumps({"codes": codes, "scipy_before_gates": before,
+                  "linalg_after_gates": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_scipy_linalg_loaded_only_by_gates(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {"source": 0, "channel": 0, "twoqubit": 0,
+                               "gates": 0}
+    assert result["scipy_before_gates"] == []
+    assert result["linalg_after_gates"] is True
