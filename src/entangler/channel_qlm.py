@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import Grid1D, erfcx
+from .numerics import DomainError, Grid1D, erfcx
 
 __all__ = [
     "ChannelPotentialParams",
@@ -65,9 +65,11 @@ class ChannelPotentialParams:
     def __post_init__(self):
         for name in ("m_eff", "omega", "a", "fermi_l"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise DomainError(
+                    name, f"{name} must be positive, got {getattr(self, name)}")
         if self.coulomb_k < 0:
-            raise ValueError("coulomb_k must be non-negative")
+            raise DomainError(
+                "coulomb_k", f"coulomb_k must be non-negative, got {self.coulomb_k}")
         a_natural = 1.0 / math.sqrt(self.omega)
         if abs(self.a - a_natural) > 1e-9 * a_natural:
             warnings.warn(
@@ -88,11 +90,12 @@ class QlmConfig:
 
     def __post_init__(self):
         if self.g <= 0:
-            raise ValueError("g must be positive")
+            raise DomainError("g", f"g must be positive, got {self.g}")
         if self.grid.y_min != 0.0:
             raise ValueError("grid must start at y = 0 (half line, even parity)")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise DomainError("max_iterations", "max_iterations must be >= 1, "
+                                                f"got {self.max_iterations}")
         if self.quad_tol <= 0:
             raise ValueError("quad_tol must be positive")
         # The zero-iterate weight exp(-g y^2) must be negligible at the edge.
@@ -119,6 +122,8 @@ def default_qlm_grid(g: float, n_points: int = 4001) -> Grid1D:
     that the truncated tail of the backward integral in qlm_step stays below
     1e-8 everywhere inside 6/sqrt(g).
     """
+    if not g > 0:
+        raise DomainError("g", f"g must be positive, got {g}")
     return Grid1D(0.0, 7.5 / math.sqrt(g), n_points)
 
 

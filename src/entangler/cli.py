@@ -6,7 +6,9 @@ manifest recording the resolved parameters, and identical resolved specs
 produce byte-identical primary output (floats at 17 significant digits,
 ``\\n`` line endings; the manifest timestamp lives only in the sidecar).
 
-Exit codes: 0 success, 1 computation failure, 2 usage/configuration error.
+Exit codes: 0 success, 1 computation failure, 2 usage/configuration error
+(including an out-of-domain parameter and an output file that cannot be
+written).
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -27,7 +30,7 @@ from .gates import (BELL_LABELS, CNOT, SWAP, Gate4, TwoQubitState, apply,
                     bell_state, cnot_from_sqrt_swap, concurrence,
                     exchange_evolution_expm, gate_fidelity, matrix_rows,
                     u_swap_alpha)
-from .numerics import Grid1D
+from .numerics import DomainError, Grid1D
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
 from .twoqubit_channel import TwoQubitParams, build_matrix, claimed_vs_numeric, expectations
 
@@ -39,6 +42,10 @@ STDOUT_MARKER = "-"
 # held in memory before anything is written, so an unbounded count could run
 # for hours and exhaust memory.
 MAX_SWEEP_STEPS = 100_000
+
+# Largest accepted source chart, x_count * y_points rows, held in memory
+# before anything is written for the same reason (50x the 50 x 401 chart).
+MAX_CHART_POINTS = 1_000_000
 
 TARGET_SOURCE = "source_delta_e"
 TARGET_CHANNEL = "channel_qlm"
@@ -113,6 +120,16 @@ _COLUMNS = {
     TARGET_GATES: ("alpha", "swap_matches", "sqrt_swap_matches",
                    "projector_max_dev", "exp_phase_fidelity", "cnot_fidelity",
                    "cnot_bell_concurrence", "bell_concurrence_min"),
+}
+
+
+# Params fields whose config key has another name, per target; a DomainError
+# raised by a params dataclass or Grid1D is reported under the config key.
+_CONFIG_KEYS = {
+    TARGET_SOURCE: {"n_points": "y_points"},
+    TARGET_CHANNEL: {"max_iterations": "iterations"},
+    TARGET_TWOQUBIT: {"lam": "lambda"},
+    TARGET_GATES: {},
 }
 
 
@@ -213,6 +230,14 @@ def _resolve(spec: SweepSpec) -> dict:
             ) from None
         if caster is float and not math.isfinite(resolved[key]):
             raise ConfigError(f"non-finite value {raw!r} for key {key!r}")
+    if spec.target == TARGET_SOURCE and spec.sweep_key is None:  # chart mode
+        if resolved["x_count"] < 1:
+            raise ConfigError(f"bad value for key 'x_count': must be >= 1, "
+                              f"got {resolved['x_count']}")
+        if resolved["x_count"] * resolved["y_points"] > MAX_CHART_POINTS:
+            raise ConfigError(
+                f"x_count * y_points must be <= {MAX_CHART_POINTS}; got "
+                f"{resolved['x_count']} * {resolved['y_points']}")
     if spec.output_format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {spec.output_format!r}")
     if spec.sweep_key is not None:
@@ -232,15 +257,38 @@ def _sweep_values(spec: SweepSpec) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
+# Output text of each value kind: ints (and bools, in CSV) as %d, floats at
+# 17 significant digits; JSON spells bools true/false.
+_JSON_BOOL = ("false", "true")
+
+
+def _field(v) -> str:
+    return "%d" if isinstance(v, (int, np.integer)) else "%.17g"
+
+
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    return _field(v) % v
 
 
-def _execute_source(spec: SweepSpec, resolved: dict):
+def _json_number(v) -> str:
+    return _JSON_BOOL[v] if isinstance(v, bool) else _fmt(v)
+
+
+def _format_rows(rows, as_json: bool = False) -> list[str]:
+    """Each row (a tuple) through one %-template, built once from the kinds
+    of the first row's values: a CSV line, or a JSON array."""
+    if not rows:
+        return []
+    bools = [i for i, v in enumerate(rows[0]) if as_json and isinstance(v, bool)]
+    fields = ["%s" if i in bools else _field(v) for i, v in enumerate(rows[0])]
+    template = "[" + ", ".join(fields) + "]" if as_json else ",".join(fields)
+    if bools:
+        rows = [tuple(_JSON_BOOL[v] if i in bools else v for i, v in enumerate(row))
+                for row in rows]
+    return [template % row for row in rows]
+
+
+def _execute_source(spec: SweepSpec, resolved: dict, files: dict):
     params = {k: resolved[k] for k in
               ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
                "reg_delta")}
@@ -259,7 +307,7 @@ def _execute_source(spec: SweepSpec, resolved: dict):
     return _COLUMNS[TARGET_SOURCE], chart_delta_e(p, x_values, grid)
 
 
-def _execute_channel(spec: SweepSpec, resolved: dict):
+def _execute_channel(spec: SweepSpec, resolved: dict, files: dict):
     kind = resolved["potential"]
     if kind not in ("quartic", "harmonic"):
         raise ConfigError("potential must be quartic or harmonic")
@@ -287,12 +335,8 @@ def _execute_channel(spec: SweepSpec, resolved: dict):
         return columns, rows
     cfg, iterates = one(resolved)
     if resolved["dump_l"]:
-        last = iterates[-1]
-        lines = ["y,l"]
-        lines += [f"{_fmt(y)},{_fmt(l)}"
-                  for y, l in zip(cfg.grid.points(), last.l_n)]
-        with open(resolved["dump_l"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
+        files[resolved["dump_l"]] = _render_csv(("y", "l"), list(samples))
     return _COLUMNS[TARGET_CHANNEL], [(it.n, it.e_n) for it in iterates]
 
 
@@ -304,7 +348,7 @@ def _twoqubit_params(resolved: dict) -> TwoQubitParams:
         wave_direction=resolved["wave_direction"])
 
 
-def _execute_twoqubit(spec: SweepSpec, resolved: dict):
+def _execute_twoqubit(spec: SweepSpec, resolved: dict, files: dict):
     if spec.sweep_key:
         columns = (spec.sweep_key, "h0", "hr_re", "hr_im",
                    "e1_re", "e1_im", "e2_re", "e2_im",
@@ -348,31 +392,27 @@ def _gate_report(alpha: float) -> dict:
     }
 
 
-def _execute_gates(spec: SweepSpec, resolved: dict):
+def _execute_gates(spec: SweepSpec, resolved: dict, files: dict):
     if spec.sweep_key:
         values = _sweep_values(spec)
     else:
         values = [resolved["alpha"]]
     if resolved["dump_matrix"]:
-        _dump_gate_matrix(u_swap_alpha(values[0]), resolved["dump_matrix"],
-                          spec.output_format)
+        files[resolved["dump_matrix"]] = _render_gate_matrix(
+            u_swap_alpha(values[0]), spec.output_format)
     rows = [tuple(_gate_report(a)[c] for c in _COLUMNS[TARGET_GATES])
             for a in values]
     return _COLUMNS[TARGET_GATES], rows
 
 
-def _dump_gate_matrix(gate, path: str, output_format: str) -> None:
+def _render_gate_matrix(gate, output_format: str) -> str:
     rows = matrix_rows(gate)
     if output_format == "json":
         entries = [[[row[2 * j], row[2 * j + 1]] for j in range(4)]
                    for row in rows]
-        text = _emit_json_value({"matrix": entries}) + "\n"
-    else:
-        header = ",".join(f"re{j + 1},im{j + 1}" for j in range(4))
-        text = "\n".join([header] + [",".join(_fmt(v) for v in row)
-                                     for row in rows]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        return _emit_json_value({"matrix": entries}) + "\n"
+    return _render_csv([f"{part}{j + 1}" for j in range(4) for part in ("re", "im")],
+                       rows)
 
 
 _EXECUTORS = {
@@ -409,14 +449,6 @@ def _make_manifest(spec: SweepSpec, resolved: dict) -> RunManifest:
     )
 
 
-def _json_number(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def _emit_json_value(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
@@ -431,9 +463,7 @@ def _emit_json_value(v) -> str:
 
 
 def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(columns)] + _format_rows(rows)) + "\n"
 
 
 def _render_json(manifest: RunManifest, columns, rows, report=None) -> str:
@@ -443,30 +473,43 @@ def _render_json(manifest: RunManifest, columns, rows, report=None) -> str:
         "tool_version": manifest.tool_version,
     }
     if report is not None:
-        payload = {"manifest": manifest_obj, "report": report}
-    else:
-        payload = {"manifest": manifest_obj, "columns": list(columns),
-                   "rows": [list(r) for r in rows]}
-    return _emit_json_value(payload) + "\n"
+        return _emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"
+    rows_text = ", ".join(_format_rows(rows, as_json=True))
+    return (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
+            f'"columns": {_emit_json_value(list(columns))}, "rows": [{rows_text}]}}\n')
 
 
-def _write_outputs(spec: SweepSpec, manifest: RunManifest, primary: str) -> None:
+def _sidecar_text(manifest: RunManifest) -> str:
     sidecar = {
         "input_hash": manifest.input_hash,
         "resolved_parameters": manifest.resolved_parameters,
         "timestamp": manifest.timestamp,
         "tool_version": manifest.tool_version,
     }
-    sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    if spec.output_path == STDOUT_MARKER:
-        sys.stdout.write(primary)
-        sys.stderr.write(sidecar_text)
-        return
-    with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(primary)
-    with open(spec.output_path + ".manifest.json", "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(sidecar_text)
+    return json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+
+
+def _write_files(files: dict) -> None:
+    """Write every path -> text entry, or none of them.
+
+    Each text goes to a temp file beside its target, and the temps replace
+    their targets only once all of them are written. On failure the temps
+    are removed and the OSError is raised again, naming the target path.
+    """
+    temps = {}
+    try:
+        for path, text in files.items():
+            tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                temps[path] = tmp
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def run(spec: SweepSpec) -> int:
@@ -479,10 +522,15 @@ def run(spec: SweepSpec) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    files: dict[str, str] = {}  # path -> text; executors add dump files
     try:
-        result = _EXECUTORS[spec.target](spec, resolved)
+        result = _EXECUTORS[spec.target](spec, resolved, files)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 2
+    except DomainError as exc:
+        key = _CONFIG_KEYS[spec.target].get(exc.name, exc.name)
+        sys.stderr.write(f"config error: bad value for key {key!r}: {exc}\n")
         return 2
     except Exception as exc:  # computation failure inside a module
         sys.stderr.write(f"{spec.target}: computation failed: {exc}\n")
@@ -506,7 +554,19 @@ def run(spec: SweepSpec) -> int:
             primary = _render_json(manifest, columns, rows)
         else:
             primary = _render_csv(columns, rows)
-    _write_outputs(spec, manifest, primary)
+    sidecar = _sidecar_text(manifest)
+    if spec.output_path != STDOUT_MARKER:
+        files[spec.output_path] = primary
+        files[spec.output_path + ".manifest.json"] = sidecar
+    try:
+        _write_files(files)
+    except OSError as exc:
+        sys.stderr.write(f"{spec.target}: cannot write {exc.filename}: "
+                         f"{exc.strerror}\n")
+        return 2
+    if spec.output_path == STDOUT_MARKER:
+        sys.stdout.write(primary)
+        sys.stderr.write(sidecar)
     return 0
 
 

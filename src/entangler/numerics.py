@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
+    "DomainError",
     "QuadratureError",
     "integrate",
     "erfcx",
@@ -24,6 +25,14 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+class DomainError(ValueError):
+    """A parameter outside its domain; ``name`` is the field that holds it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 class QuadratureError(RuntimeError):
@@ -40,9 +49,10 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.y_min < self.y_max:
-            raise ValueError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
+            raise DomainError(
+                "y_max", f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
         if self.n_points < 3:
-            raise ValueError(f"need n_points >= 3, got {self.n_points}")
+            raise DomainError("n_points", f"need n_points >= 3, got {self.n_points}")
 
     @property
     def spacing(self) -> float:

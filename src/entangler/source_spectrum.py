@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Grid1D, eigen_small, integrate
+from .numerics import DomainError, Grid1D, eigen_small, integrate
 
 __all__ = [
     "SourceParams",
@@ -56,12 +56,16 @@ class SourceParams:
     def __post_init__(self):
         for name in ("m_eff", "omega", "r_coulomb", "l_x", "reg_delta"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise DomainError(
+                    name, f"{name} must be positive, got {getattr(self, name)}")
         for name in ("beta", "alpha_r"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise DomainError(
+                    name, f"{name} must be non-negative, got {getattr(self, name)}")
         if self.reg_delta >= self.l_x / 10.0:
-            raise ValueError("reg_delta must be below l_x / 10")
+            raise DomainError(
+                "reg_delta", f"reg_delta = {self.reg_delta} must be below "
+                             f"l_x / 10 = {self.l_x / 10.0}")
 
 
 @dataclass(frozen=True)
@@ -171,21 +175,29 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     density carries the kinetic constants plus (m* w^2 / 2)(x^2 + y^2) and
     the regularized log term, all weighted by |phi(x)|^2; the off-diagonal
     density is alpha k |phi(x)|^2.
+
+    The local matrix has equal diagonals, so its eigenvalues are
+    dens -+ |off|, evaluated for the whole grid at once; this equals
+    spin_split on each local HMatrix2 bit for bit, degenerate branch
+    included. The log term is taken per point with math.log, because
+    np.log differs from it by 1 ulp on some arguments.
     """
     x_values = [float(x) for x in x_values]
     for x in x_values:
         if not 0.0 < x < p.l_x:
             raise ValueError(f"x = {x} outside the open interval (0, {p.l_x})")
     kinetic = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2) + p.k ** 2 / (2.0 * p.m_eff)
-    rows = []
-    for x in x_values:
-        weight = _transverse_density(p, x)
-        off = complex(p.alpha_r * p.k * weight)
-        for y in y_grid.points():
-            dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y)
-                    + _log_coulomb_at(p, y, x)) * weight
-            local = HMatrix2(h11=complex(dens), h12=off, h21=off.conjugate(),
-                             h22=complex(dens))
-            s = spin_split(local)
-            rows.append((x, float(y), s.e_up, s.e_down, s.delta_e))
-    return rows
+    ys = y_grid.points()
+    x = np.repeat(x_values, len(ys))
+    y = np.tile(ys, len(x_values))
+    weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
+    ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
+    log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+    dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y) + log_term) * weight
+    off = np.abs(p.alpha_r * p.k * weight)
+    scale = np.maximum(np.maximum(1.0, np.abs(dens)), off) ** 2
+    off = np.where(4.0 * (off * off) < _DEGENERATE_TOL * scale, 0.0, off)
+    e_up = dens - off
+    e_down = dens + off
+    return list(zip(x.tolist(), y.tolist(), e_up.tolist(), e_down.tolist(),
+                    (e_down - e_up).tolist()))

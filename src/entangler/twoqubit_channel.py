@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import EigenSystem, eigen_small, erfcx, integrate, is_hermitian
+from .numerics import (DomainError, EigenSystem, eigen_small, erfcx, integrate,
+                       is_hermitian)
 
 __all__ = [
     "ALONG_X",
@@ -61,16 +62,19 @@ class TwoQubitParams:
     def __post_init__(self):
         for name in ("m_eff", "omega", "a_b", "lam", "fermi_l"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.alpha_r < 0 or self.coulomb_k < 0:
-            raise ValueError("alpha_r and coulomb_k must be non-negative")
+                raise DomainError(
+                    name, f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("alpha_r", "coulomb_k"):
+            if getattr(self, name) < 0:
+                raise DomainError(
+                    name, f"{name} must be non-negative, got {getattr(self, name)}")
         if self.wave_direction not in (ALONG_Y, ALONG_X):
-            raise ValueError(f"wave_direction must be {ALONG_Y!r} or {ALONG_X!r}")
+            raise DomainError("wave_direction",
+                              f"wave_direction must be {ALONG_Y!r} or {ALONG_X!r}")
         if self.coulomb_k > 0 and self.lam >= math.sqrt(2.0) * self.fermi_l:
-            raise ValueError(
-                "Coulomb expectation diverges unless lam < sqrt(2) * fermi_l "
-                f"(got lam = {self.lam}, fermi_l = {self.fermi_l})"
-            )
+            raise DomainError(
+                "lam", "Coulomb expectation diverges unless lam < sqrt(2) * fermi_l "
+                       f"(got lam = {self.lam}, fermi_l = {self.fermi_l})")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from entangler.cli import (MAX_SWEEP_STEPS, ConfigError, SweepSpec, main,
-                           parse_config, run)
+from entangler import cli
+from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
+                           SweepSpec, main, parse_config, run)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,6 +70,13 @@ class TestParseConfig:
         assert parse_config(f"{base}{MAX_SWEEP_STEPS}").sweep_range[2] == MAX_SWEEP_STEPS
         with pytest.raises(ConfigError, match="sweep_range"):
             parse_config(f"{base}{MAX_SWEEP_STEPS + 1}")
+
+    def test_chart_points_cap(self):
+        base = "target=source_delta_e\nx_count=1000\ny_points="
+        rows = MAX_CHART_POINTS // 1000
+        assert parse_config(f"{base}{rows}").parameter_overrides["y_points"] == str(rows)
+        with pytest.raises(ConfigError, match=r"x_count \* y_points"):
+            parse_config(f"{base}{rows + 1}")
 
 
 class TestRun:
@@ -220,6 +228,39 @@ class TestMain:
         assert not out.exists()
         assert not (tmp_path / "never.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["channel", "--set", "iterations=0"], "key 'iterations'"),
+        (["channel", "--set", "g=-1"], "key 'g'"),
+        (["source", "--set", "y_points=2"], "key 'y_points'"),
+        (["source", "--set", "y_min=1", "--set", "y_max=0"], "key 'y_max'"),
+        (["source", "--set", "l_x=0.005"], "key 'reg_delta'"),
+        (["source", "--set", "x_count=0"], "key 'x_count'"),
+        (["source", "--set", "x_count=-3"], "key 'x_count'"),
+        (["source", "--set", "sweep_key=omega",
+          "--set", "sweep_range=-1,1,3"], "key 'omega'"),
+        (["twoqubit", "--set", "lambda=1.5", "--set", "coulomb_k=0.3"],
+         "key 'lambda'"),
+    ])
+    def test_out_of_domain_exits_two_without_output(self, tmp_path, capsys,
+                                                    args, named):
+        out = tmp_path / "never.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, out, failing", [
+        (["source"], "missing/x.csv", "missing/x.csv"),
+        (["gates", "--set", "dump_matrix=P"], "missing/x.csv", "missing/x.csv"),
+        (["channel", "--set", "n_points=201", "--set", "dump_l=missing/l.csv"],
+         "x.csv", "missing/l.csv"),
+    ])
+    def test_write_failure_exits_two_and_creates_no_file(
+            self, tmp_path, monkeypatch, capsys, args, out, failing):
+        monkeypatch.chdir(tmp_path)
+        assert main(args + ["--out", out]) == 2
+        assert f"cannot write {failing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig2_style_chart_is_well_formed(self, tmp_path):
         out = tmp_path / "chart.csv"
         rc = main(["source", "--out", str(out)])
@@ -229,6 +270,80 @@ class TestMain:
         rows = [list(map(float, line.split(","))) for line in lines[1:]]
         assert len(rows) == 5 * 21
         assert all(r[4] >= 0.0 for r in rows)
+
+
+def reference_value(v, as_json):
+    if isinstance(v, bool):
+        return ("true" if v else "false") if as_json else ("1" if v else "0")
+    if isinstance(v, int):
+        return str(v)
+    return format(v, ".17g")
+
+
+def reference_json(v):
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {reference_json(x)}"
+                               for k, x in v.items()) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(reference_json(x) for x in v) + "]"
+    return reference_value(v, True)
+
+
+RENDER_CASES = [
+    ["source"],
+    ["source", "--set", "sweep_key=alpha_r", "--set", "sweep_range=0,1,4"],
+    ["channel", "--set", "n_points=401"],
+    ["channel", "--set", "n_points=401", "--set", "sweep_key=g",
+     "--set", "sweep_range=0.8,1.2,3"],
+    ["twoqubit"],
+    ["twoqubit", "--set", "sweep_key=k", "--set", "sweep_range=0,2,3"],
+    ["gates"],
+    ["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=0,6.283185307179586,5"],
+]
+
+
+def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
+    """Every target, defaults and one sweep, CSV and JSON: the rendered text
+    equals a per-value format(v, ".17g") rendering of the same table."""
+    tables = []
+    for name in ("_render_csv", "_render_json"):
+        original = getattr(cli, name)
+
+        def recording(*args, _original=original, **kwargs):
+            tables.append((args, kwargs))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recording)
+    kinds = set()
+    for i, args in enumerate(RENDER_CASES):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{i}.{fmt}"
+            tables.clear()
+            assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+            (table_args, kwargs), = tables
+            if fmt == "csv":
+                columns, rows = table_args
+                expected = "".join(
+                    ",".join(line) + "\n" for line in
+                    [columns] + [[reference_value(v, False) for v in r] for r in rows])
+            else:
+                manifest, columns, rows = table_args
+                head = {"manifest": {
+                    "input_hash": manifest.input_hash,
+                    "resolved_parameters": dict(sorted(
+                        manifest.resolved_parameters.items())),
+                    "tool_version": manifest.tool_version}}
+                if kwargs.get("report") is not None:
+                    payload = {**head, "report": kwargs["report"]}
+                    rows = []
+                else:
+                    payload = {**head, "columns": list(columns),
+                               "rows": [list(r) for r in rows]}
+                expected = reference_json(payload) + "\n"
+            kinds.update(type(v) for r in rows for v in r)
+            assert out.read_text(encoding="utf-8") == expected, (args, fmt)
+    assert {bool, int, float} <= kinds
 
 
 _IMPORT_PROBE = """

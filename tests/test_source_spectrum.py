@@ -158,3 +158,54 @@ class TestChartDeltaE:
     def test_rejects_x_outside_width(self):
         with pytest.raises(ValueError):
             chart_delta_e(SourceParams(**DEFAULTS), [math.pi], self.GRID)
+
+
+def per_point_chart(p, x_values, grid):
+    """Reference chart: spin_split on each local HMatrix2, log term by math.log."""
+    kinetic = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2) + p.k ** 2 / (2.0 * p.m_eff)
+    rows = []
+    for x in x_values:
+        weight = (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
+        off = complex(p.alpha_r * p.k * weight)
+        for y in grid.points():
+            log_term = -p.beta * math.log(max(abs(x - y), p.reg_delta) / p.r_coulomb)
+            dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y)
+                    + log_term) * weight
+            s = spin_split(HMatrix2(h11=complex(dens), h12=off,
+                                    h21=off.conjugate(), h22=complex(dens)))
+            rows.append((x, float(y), s.e_up, s.e_down, s.delta_e))
+    return rows
+
+
+def chart_cases():
+    rng = np.random.default_rng(5)
+    cases = [random_params(rng) for _ in range(12)]
+    cases += [SourceParams(**{**DEFAULTS, "alpha_r": 10.0 ** rng.uniform(-9.0, -6.0)})
+              for _ in range(6)]
+    # alpha_r = 0, 1e-12 and 3e-9 take the degenerate branch everywhere;
+    # 1e-7 crosses its threshold inside the chart.
+    cases += [SourceParams(**{**DEFAULTS, "alpha_r": a})
+              for a in (0.0, 1e-12, 3e-9, 1e-7)]
+    cases += [SourceParams(**{**DEFAULTS, "k": -1.3}),
+              SourceParams(**{**DEFAULTS, "beta": 0.0})]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(chart_cases())))
+def test_chart_equals_per_point_spin_split_bit_for_bit(case):
+    p = chart_cases()[case]
+    xs = [p.l_x * (i + 1) / 8 for i in range(7)]
+    grid = Grid1D(-2.0, 2.0, 41)
+    rows = chart_delta_e(p, xs, grid)
+    expected = per_point_chart(p, xs, grid)
+    assert [tuple(v.hex() for v in r) for r in rows] == \
+        [tuple(v.hex() for v in r) for r in expected]
+    assert all(type(v) is float for r in rows for v in r)
+
+
+def test_chart_degenerate_threshold_crossed_inside():
+    p = SourceParams(**{**DEFAULTS, "alpha_r": 1e-7})
+    rows = chart_delta_e(p, [p.l_x * (i + 1) / 8 for i in range(7)],
+                         Grid1D(-2.0, 2.0, 41))
+    zero = sum(r[4] == 0.0 for r in rows)
+    assert 0 < zero < len(rows)
