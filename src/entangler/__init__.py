@@ -2,8 +2,7 @@
 
 Subpackages by role:
 
-* ``numerics`` - quadrature, erfcx, small dense eigen solvers, and the
-  finite-difference Schrodinger reference.
+* ``numerics`` - quadrature, erfcx and small dense eigen solvers.
 * ``source_spectrum`` - spin-split spectrum of the 2DEG source lead under
   Rashba coupling.
 * ``channel_qlm`` - channel levels from the Riccati/quasilinearization

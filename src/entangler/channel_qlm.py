@@ -75,7 +75,7 @@ class ChannelPotentialParams:
             warnings.warn(
                 f"a = {self.a} differs from the natural-unit harmonic length "
                 f"1/sqrt(omega) = {a_natural:.6g}",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
 
 

@@ -20,19 +20,21 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .channel_qlm import (ChannelPotentialParams, QlmConfig, default_qlm_grid,
                           harmonic_reference_potential, qlm_spectrum)
-from .gates import (BELL_LABELS, CNOT, SWAP, Gate4, TwoQubitState, apply,
-                    bell_state, cnot_from_sqrt_swap, concurrence,
+from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
+                    apply, bell_state, cnot_from_sqrt_swap, concurrence,
                     exchange_evolution_expm, gate_fidelity, matrix_rows,
                     u_swap_alpha)
 from .numerics import DomainError, Grid1D
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
-from .twoqubit_channel import TwoQubitParams, build_matrix, claimed_vs_numeric, expectations
+from .twoqubit_channel import (EigenReport, TwoQubitParams, build_matrix,
+                               claimed_vs_numeric, expectations)
 
 __all__ = ["SweepSpec", "RunManifest", "ConfigError", "parse_config", "run", "main"]
 
@@ -52,86 +54,6 @@ TARGET_CHANNEL = "channel_qlm"
 TARGET_TWOQUBIT = "twoqubit_eigen"
 TARGET_GATES = "gate_check"
 
-_SUBCOMMANDS = {
-    "source": TARGET_SOURCE,
-    "channel": TARGET_CHANNEL,
-    "twoqubit": TARGET_TWOQUBIT,
-    "gates": TARGET_GATES,
-}
-
-# key -> (parser, default, help); defaults are authoritative and documented
-# in --help. Enums parse as strings and are validated by the executors.
-_SCHEMAS: dict[str, dict[str, tuple]] = {
-    TARGET_SOURCE: {
-        "m_eff": (float, 1.0, "effective mass ratio"),
-        "omega": (float, 1.0, "confinement frequency"),
-        "beta": (float, 0.5, "log-Coulomb strength"),
-        "r_coulomb": (float, 1.0, "Coulomb length scale"),
-        "alpha_r": (float, 0.2, "Rashba strength"),
-        "l_x": (float, math.pi, "transverse width"),
-        "k": (float, 1.0, "propagation wavenumber"),
-        "reg_delta": (float, 1e-3, "log-singularity exclusion half-width"),
-        "x_count": (int, 5, "number of interior x cross-sections in the chart"),
-        "y_min": (float, -2.0, "chart y range start"),
-        "y_max": (float, 2.0, "chart y range end"),
-        "y_points": (int, 21, "chart y points"),
-    },
-    TARGET_CHANNEL: {
-        "m_eff": (float, 1.0, "effective mass ratio"),
-        "omega": (float, 1.0, "confinement frequency"),
-        "a": (float, 1.0, "harmonic length"),
-        "coulomb_k": (float, 0.0, "screened Coulomb strength"),
-        "fermi_l": (float, 1.0, "Fermi length"),
-        "include_vc": (int, 0, "1 to add the screened Coulomb term"),
-        "potential": (str, "quartic", "quartic | harmonic (validation preset)"),
-        "g": (float, 0.0, "zero-iterate slope; 0 means m_eff * omega"),
-        "n_points": (int, 4001, "grid points on the half line"),
-        "iterations": (int, 3, "quasilinearization iterations"),
-        "dump_l": (str, "", "optional path for the final (y, l) samples"),
-    },
-    TARGET_TWOQUBIT: {
-        "m_eff": (float, 1.0, "effective mass ratio"),
-        "omega": (float, 1.0, "confinement frequency"),
-        "a_b": (float, 1.0, "transverse harmonic length"),
-        "lambda": (float, 1.0, "longitudinal Gaussian width"),
-        "k": (float, 1.0, "plane-wave number"),
-        "alpha_r": (float, 0.2, "Rashba strength"),
-        "coulomb_k": (float, 0.0, "screened Coulomb strength"),
-        "fermi_l": (float, 1.0, "Fermi length"),
-        "wave_direction": (str, "along_y", "along_y | along_x"),
-    },
-    TARGET_GATES: {
-        "alpha": (float, math.pi, "integrated exchange angle"),
-        "dump_matrix": (str, "", "optional path for the U_SWAP^alpha matrix "
-                                 "as (re, im) pairs"),
-    },
-}
-
-_SWEEPABLE = {
-    TARGET_SOURCE: ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
-    TARGET_CHANNEL: ("omega", "coulomb_k", "g"),
-    TARGET_TWOQUBIT: ("omega", "k", "alpha_r", "coulomb_k", "lambda"),
-    TARGET_GATES: ("alpha",),
-}
-
-_COLUMNS = {
-    TARGET_SOURCE: ("x", "y", "e_up", "e_down", "delta_e"),
-    TARGET_CHANNEL: ("n", "e_n"),
-    TARGET_GATES: ("alpha", "swap_matches", "sqrt_swap_matches",
-                   "projector_max_dev", "exp_phase_fidelity", "cnot_fidelity",
-                   "cnot_bell_concurrence", "bell_concurrence_min"),
-}
-
-
-# Params fields whose config key has another name, per target; a DomainError
-# raised by a params dataclass or Grid1D is reported under the config key.
-_CONFIG_KEYS = {
-    TARGET_SOURCE: {"n_points": "y_points"},
-    TARGET_CHANNEL: {"max_iterations": "iterations"},
-    TARGET_TWOQUBIT: {"lam": "lambda"},
-    TARGET_GATES: {},
-}
-
 
 class ConfigError(ValueError):
     """Unusable configuration; maps to exit code 2."""
@@ -145,6 +67,10 @@ class SweepSpec:
     sweep_range: tuple[float, float, int] | None = None
     output_format: str = "csv"
     output_path: str = STDOUT_MARKER
+    # Set by parse_config to the typed map it validated; run() uses it, so
+    # parse a new config to change the parameters of a parsed spec.
+    resolved: dict | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 @dataclass
@@ -153,6 +79,31 @@ class RunManifest:
     timestamp: str
     resolved_parameters: dict
     input_hash: str
+
+
+@dataclass
+class _RunState:
+    """What the points of one run share."""
+
+    output_format: str
+    files: dict = field(default_factory=dict)  # path -> text; dumps come first
+    shared: Any = None  # built by a target's first point for the later ones
+
+
+@dataclass(frozen=True)
+class _Target:
+    """Everything the CLI knows about one target. A point maps one resolved
+    dict to its rows; a single run that is not one point returns (columns,
+    rows, report), and a report is the JSON output in place of the table."""
+
+    command: str
+    schema: dict[str, tuple]  # key -> (parser, default, help)
+    sweepable: tuple[str, ...]
+    aliases: dict[str, str]  # params field -> config key, for DomainError
+    columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
+    point: Callable[[dict, _RunState], list[tuple]]
+    single: Callable[[dict, _RunState], tuple] | None = None
+    single_columns: tuple[str, ...] | None = None  # fixed ones, for --help
 
 
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:
@@ -194,9 +145,9 @@ def parse_config(text: str) -> SweepSpec:
     target = pairs.pop("target", None)
     if target is None:
         raise ConfigError("target is required")
-    if target not in _SCHEMAS:
+    if target not in _TARGETS:
         raise ConfigError(
-            f"unknown target {target!r}; valid targets: {sorted(_SCHEMAS)}")
+            f"unknown target {target!r}; valid targets: {sorted(_TARGETS)}")
 
     spec = SweepSpec(target=target)
     if "format" in pairs:
@@ -208,13 +159,14 @@ def parse_config(text: str) -> SweepSpec:
     if "sweep_range" in pairs:
         spec.sweep_range = _parse_sweep_range(pairs.pop("sweep_range"))
     spec.parameter_overrides = pairs
-    _resolve(spec)  # fail fast on unknown keys or bad values
+    spec.resolved = _resolve(spec)  # fail fast on unknown keys or bad values
     return spec
 
 
 def _resolve(spec: SweepSpec) -> dict:
     """Full resolved parameter map (defaults plus overrides), typed."""
-    schema = _SCHEMAS[spec.target]
+    target = _TARGETS[spec.target]
+    schema = target.schema
     resolved = {key: default for key, (_, default, _) in schema.items()}
     for key, raw in spec.parameter_overrides.items():
         if key not in schema:
@@ -241,10 +193,10 @@ def _resolve(spec: SweepSpec) -> dict:
     if spec.output_format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {spec.output_format!r}")
     if spec.sweep_key is not None:
-        if spec.sweep_key not in _SWEEPABLE[spec.target]:
+        if spec.sweep_key not in target.sweepable:
             raise ConfigError(
                 f"sweep_key {spec.sweep_key!r} not valid for {spec.target!r}; "
-                f"valid: {list(_SWEEPABLE[spec.target])}")
+                f"valid: {list(target.sweepable)}")
         if spec.sweep_range is None:
             raise ConfigError("sweep_key requires sweep_range")
     return resolved
@@ -288,121 +240,103 @@ def _format_rows(rows, as_json: bool = False) -> list[str]:
     return [template % row for row in rows]
 
 
-def _execute_source(spec: SweepSpec, resolved: dict, files: dict):
-    params = {k: resolved[k] for k in
-              ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
-               "reg_delta")}
-    if spec.sweep_key:
-        columns = (spec.sweep_key, "e_up", "e_down", "delta_e")
-        rows = []
-        for value in _sweep_values(spec):
-            p = SourceParams(**{**params, spec.sweep_key: value})
-            s = spin_split(build_hmatrix(p))
-            rows.append((value, s.e_up, s.e_down, s.delta_e))
-        return columns, rows
-    p = SourceParams(**params)
+# Point and single-run functions. Each dump file (dump_l, dump_matrix)
+# describes the first point of its run.
+
+_SOURCE_FIELDS = ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
+                  "reg_delta")
+_CHART_COLUMNS = ("x", "y", "e_up", "e_down", "delta_e")
+
+
+def _source_params(resolved: dict) -> SourceParams:
+    return SourceParams(**{k: resolved[k] for k in _SOURCE_FIELDS})
+
+
+def _source_point(resolved: dict, state: _RunState) -> list[tuple]:
+    s = spin_split(build_hmatrix(_source_params(resolved)))
+    return [(s.e_up, s.e_down, s.delta_e)]
+
+
+def _source_chart(resolved: dict, state: _RunState) -> tuple:
+    p = _source_params(resolved)
     n = resolved["x_count"]
     x_values = [p.l_x * (i + 1) / (n + 1) for i in range(n)]
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
-    return _COLUMNS[TARGET_SOURCE], chart_delta_e(p, x_values, grid)
+    return _CHART_COLUMNS, chart_delta_e(p, x_values, grid), None
 
 
-def _execute_channel(spec: SweepSpec, resolved: dict, files: dict):
+def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
     kind = resolved["potential"]
     if kind not in ("quartic", "harmonic"):
         raise ConfigError("potential must be quartic or harmonic")
-
-    def one(resolved_point: dict):
-        p = ChannelPotentialParams(
-            m_eff=resolved_point["m_eff"], omega=resolved_point["omega"],
-            a=resolved_point["a"], coulomb_k=resolved_point["coulomb_k"],
-            fermi_l=resolved_point["fermi_l"],
-            include_vc=bool(resolved_point["include_vc"]))
-        g = resolved_point["g"] or p.m_eff * p.omega
-        cfg = QlmConfig(g=g, grid=default_qlm_grid(g, resolved_point["n_points"]),
-                        max_iterations=resolved_point["iterations"])
-        potential = None
-        if kind == "harmonic":
-            potential = lambda y: harmonic_reference_potential(p, y)
-        return cfg, qlm_spectrum(p, cfg, potential=potential)
-
-    if spec.sweep_key:
-        columns = (spec.sweep_key, "n", "e_n")
-        rows = []
-        for value in _sweep_values(spec):
-            _, iterates = one({**resolved, spec.sweep_key: value})
-            rows.extend((value, it.n, it.e_n) for it in iterates)
-        return columns, rows
-    cfg, iterates = one(resolved)
-    if resolved["dump_l"]:
+    p = ChannelPotentialParams(
+        m_eff=resolved["m_eff"], omega=resolved["omega"], a=resolved["a"],
+        coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
+        include_vc=bool(resolved["include_vc"]))
+    g = resolved["g"] or p.m_eff * p.omega
+    cfg = QlmConfig(g=g, grid=default_qlm_grid(g, resolved["n_points"]),
+                    max_iterations=resolved["iterations"])
+    potential = None
+    if kind == "harmonic":
+        potential = lambda y: harmonic_reference_potential(p, y)
+    iterates = qlm_spectrum(p, cfg, potential=potential)
+    dump = resolved["dump_l"]
+    if dump and dump not in state.files:
         samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
-        files[resolved["dump_l"]] = _render_csv(("y", "l"), list(samples))
-    return _COLUMNS[TARGET_CHANNEL], [(it.n, it.e_n) for it in iterates]
+        state.files[dump] = _render_csv(("y", "l"), list(samples))
+    return [(it.n, it.e_n) for it in iterates]
 
 
-def _twoqubit_params(resolved: dict) -> TwoQubitParams:
-    return TwoQubitParams(
+def _twoqubit_report(resolved: dict) -> EigenReport:
+    p = TwoQubitParams(
         m_eff=resolved["m_eff"], omega=resolved["omega"], a_b=resolved["a_b"],
         lam=resolved["lambda"], k=resolved["k"], alpha_r=resolved["alpha_r"],
         coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
         wave_direction=resolved["wave_direction"])
+    return claimed_vs_numeric(build_matrix(*expectations(p)))
 
 
-def _execute_twoqubit(spec: SweepSpec, resolved: dict, files: dict):
-    if spec.sweep_key:
-        columns = (spec.sweep_key, "h0", "hr_re", "hr_im",
-                   "e1_re", "e1_im", "e2_re", "e2_im",
-                   "e3_re", "e3_im", "e4_re", "e4_im")
-        rows = []
-        for value in _sweep_values(spec):
-            p = _twoqubit_params({**resolved, spec.sweep_key: value})
-            h0, hr = expectations(p)
-            report = claimed_vs_numeric(build_matrix(h0, hr))
-            ev = report.numeric.eigenvalues
-            rows.append((value, h0, hr.real, hr.imag,
-                         ev[0].real, ev[0].imag, ev[1].real, ev[1].imag,
-                         ev[2].real, ev[2].imag, ev[3].real, ev[3].imag))
-        return columns, rows
-    p = _twoqubit_params(resolved)
-    h0, hr = expectations(p)
-    report = claimed_vs_numeric(build_matrix(h0, hr))
-    return report.to_json_dict(), None
+def _twoqubit_point(resolved: dict, state: _RunState) -> list[tuple]:
+    report = _twoqubit_report(resolved)
+    hr, ev = report.hr, report.numeric.eigenvalues
+    return [(report.h0, hr.real, hr.imag, ev[0].real, ev[0].imag, ev[1].real,
+             ev[1].imag, ev[2].real, ev[2].imag, ev[3].real, ev[3].imag)]
 
 
-def _gate_report(alpha: float) -> dict:
+def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
+    report = _twoqubit_report(resolved)
+    columns = ("h0", "hr_re", "hr_im", "max_residual",
+               "eigenvalue_set_distance", "hermitian", "degenerate")
+    row = (report.h0, report.hr.real, report.hr.imag,
+           max(report.claimed_residuals), report.eigenvalue_set_distance,
+           report.hermitian, report.degenerate)
+    return columns, [row], report.to_json_dict()
+
+
+def _gate_point(resolved: dict, state: _RunState) -> list[tuple]:
+    if state.shared is None:  # the Bell states and alpha-independent columns
+        bells = [bell_state(label) for label in BELL_LABELS]
+        _, cnot = cnot_from_sqrt_swap()
+        s = 1.0 / math.sqrt(2.0)
+        plus_control = TwoQubitState(np.array([s, 0, s, 0], dtype=complex))
+        state.shared = bells, (gate_fidelity(cnot, Gate4(CNOT)),
+                               concurrence(apply(cnot, plus_control)),
+                               min(concurrence(b) for b in bells))
+    bells, alpha_independent = state.shared
+    alpha = resolved["alpha"]
     u = u_swap_alpha(alpha)
-    bells = [bell_state(label) for label in BELL_LABELS]
+    dump = resolved["dump_matrix"]
+    if dump and dump not in state.files:
+        state.files[dump] = _render_gate_matrix(u, state.output_format)
     projector = sum(
         phase * np.outer(b.amplitudes, b.amplitudes.conj())
         for b, phase in zip(bells, [1.0, 1.0, 1.0, np.exp(1j * alpha)]))
-    exp_gate = exchange_evolution_expm(alpha)
-    circuit, cnot = cnot_from_sqrt_swap()
-    s = 1.0 / math.sqrt(2.0)
-    plus_control = TwoQubitState(np.array([s, 0, s, 0], dtype=complex))
-    return {
-        "alpha": alpha,
-        "swap_matches": bool(np.abs(u.matrix - SWAP).max() <= 1e-13),
-        "sqrt_swap_matches": bool(
-            np.abs(u.matrix - u_swap_alpha(math.pi / 2).matrix).max() <= 1e-13),
-        "projector_max_dev": float(np.abs(u.matrix - projector).max()),
-        "exp_phase_fidelity": gate_fidelity(u, exp_gate),
-        "cnot_fidelity": gate_fidelity(cnot, Gate4(CNOT)),
-        "cnot_bell_concurrence": concurrence(apply(cnot, plus_control)),
-        "bell_concurrence_min": min(concurrence(b) for b in bells),
-    }
-
-
-def _execute_gates(spec: SweepSpec, resolved: dict, files: dict):
-    if spec.sweep_key:
-        values = _sweep_values(spec)
-    else:
-        values = [resolved["alpha"]]
-    if resolved["dump_matrix"]:
-        files[resolved["dump_matrix"]] = _render_gate_matrix(
-            u_swap_alpha(values[0]), spec.output_format)
-    rows = [tuple(_gate_report(a)[c] for c in _COLUMNS[TARGET_GATES])
-            for a in values]
-    return _COLUMNS[TARGET_GATES], rows
+    return [(alpha,
+             bool(np.abs(u.matrix - SWAP).max() <= 1e-13),
+             bool(np.abs(u.matrix - SQRT_SWAP).max() <= 1e-13),
+             float(np.abs(u.matrix - projector).max()),
+             gate_fidelity(u, exchange_evolution_expm(alpha)))
+            + alpha_independent]
 
 
 def _render_gate_matrix(gate, output_format: str) -> str:
@@ -415,11 +349,88 @@ def _render_gate_matrix(gate, output_format: str) -> str:
                        rows)
 
 
-_EXECUTORS = {
-    TARGET_SOURCE: _execute_source,
-    TARGET_CHANNEL: _execute_channel,
-    TARGET_TWOQUBIT: _execute_twoqubit,
-    TARGET_GATES: _execute_gates,
+# The records hold cli's own functions, which reach the library through
+# module globals: a wrapper installed on a module attribute (as the
+# benchmark's tracer does) then sees every call.
+_TARGETS = {
+    TARGET_SOURCE: _Target(
+        command="source",
+        schema={
+            "m_eff": (float, 1.0, "effective mass ratio"),
+            "omega": (float, 1.0, "confinement frequency"),
+            "beta": (float, 0.5, "log-Coulomb strength"),
+            "r_coulomb": (float, 1.0, "Coulomb length scale"),
+            "alpha_r": (float, 0.2, "Rashba strength"),
+            "l_x": (float, math.pi, "transverse width"),
+            "k": (float, 1.0, "propagation wavenumber"),
+            "reg_delta": (float, 1e-3, "log-singularity exclusion half-width"),
+            "x_count": (int, 5, "number of interior x cross-sections in the chart"),
+            "y_min": (float, -2.0, "chart y range start"),
+            "y_max": (float, 2.0, "chart y range end"),
+            "y_points": (int, 21, "chart y points"),
+        },
+        sweepable=("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
+        aliases={"n_points": "y_points"},
+        columns=("e_up", "e_down", "delta_e"),
+        point=_source_point,
+        single=_source_chart,
+        single_columns=_CHART_COLUMNS,
+    ),
+    TARGET_CHANNEL: _Target(
+        command="channel",
+        schema={
+            "m_eff": (float, 1.0, "effective mass ratio"),
+            "omega": (float, 1.0, "confinement frequency"),
+            "a": (float, 1.0, "harmonic length"),
+            "coulomb_k": (float, 0.0, "screened Coulomb strength"),
+            "fermi_l": (float, 1.0, "Fermi length"),
+            "include_vc": (int, 0, "1 to add the screened Coulomb term"),
+            "potential": (str, "quartic", "quartic | harmonic (validation preset)"),
+            "g": (float, 0.0, "zero-iterate slope; 0 means m_eff * omega"),
+            "n_points": (int, 4001, "grid points on the half line"),
+            "iterations": (int, 3, "quasilinearization iterations"),
+            "dump_l": (str, "", "optional path for the final (y, l) samples"),
+        },
+        sweepable=("omega", "coulomb_k", "g"),
+        aliases={"max_iterations": "iterations"},
+        columns=("n", "e_n"),
+        point=_channel_point,
+    ),
+    TARGET_TWOQUBIT: _Target(
+        command="twoqubit",
+        schema={
+            "m_eff": (float, 1.0, "effective mass ratio"),
+            "omega": (float, 1.0, "confinement frequency"),
+            "a_b": (float, 1.0, "transverse harmonic length"),
+            "lambda": (float, 1.0, "longitudinal Gaussian width"),
+            "k": (float, 1.0, "plane-wave number"),
+            "alpha_r": (float, 0.2, "Rashba strength"),
+            "coulomb_k": (float, 0.0, "screened Coulomb strength"),
+            "fermi_l": (float, 1.0, "Fermi length"),
+            "wave_direction": (str, "along_y", "along_y | along_x"),
+        },
+        sweepable=("omega", "k", "alpha_r", "coulomb_k", "lambda"),
+        aliases={"lam": "lambda"},
+        columns=("h0", "hr_re", "hr_im", "e1_re", "e1_im", "e2_re", "e2_im",
+                 "e3_re", "e3_im", "e4_re", "e4_im"),
+        point=_twoqubit_point,
+        single=_twoqubit_single,
+    ),
+    TARGET_GATES: _Target(
+        command="gates",
+        schema={
+            "alpha": (float, math.pi, "integrated exchange angle"),
+            "dump_matrix": (str, "", "optional path for the U_SWAP^alpha matrix "
+                                     "as (re, im) pairs"),
+        },
+        sweepable=("alpha",),
+        aliases={},
+        # The rows hold alpha itself, so a sweep over it adds no column.
+        columns=("alpha", "swap_matches", "sqrt_swap_matches",
+                 "projector_max_dev", "exp_phase_fidelity", "cnot_fidelity",
+                 "cnot_bell_concurrence", "bell_concurrence_min"),
+        point=_gate_point,
+    ),
 }
 
 
@@ -517,49 +528,43 @@ def run(spec: SweepSpec) -> int:
 
     Nothing is written on failure; errors go to stderr with the target named.
     """
+    target = _TARGETS[spec.target]
+    key = spec.sweep_key
+    state = _RunState(spec.output_format)
     try:
-        resolved = _resolve(spec)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    files: dict[str, str] = {}  # path -> text; executors add dump files
-    try:
-        result = _EXECUTORS[spec.target](spec, resolved, files)
+        resolved = spec.resolved if spec.resolved is not None else _resolve(spec)
+        if key is None and target.single is not None:
+            columns, rows, report = target.single(resolved, state)
+        elif key is None:
+            columns, rows, report = target.columns, target.point(resolved, state), None
+        else:
+            lead = key not in target.columns  # gates rows hold alpha already
+            columns = ((key,) if lead else ()) + target.columns
+            rows, report = [], None
+            for value in _sweep_values(spec):
+                point_rows = target.point({**resolved, key: value}, state)
+                rows += [(value,) + row for row in point_rows] if lead else point_rows
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except DomainError as exc:
-        key = _CONFIG_KEYS[spec.target].get(exc.name, exc.name)
-        sys.stderr.write(f"config error: bad value for key {key!r}: {exc}\n")
+        name = target.aliases.get(exc.name, exc.name)
+        sys.stderr.write(f"config error: bad value for key {name!r}: {exc}\n")
         return 2
     except Exception as exc:  # computation failure inside a module
         sys.stderr.write(f"{spec.target}: computation failed: {exc}\n")
         return 1
     manifest = _make_manifest(spec, resolved)
-    if spec.target == TARGET_TWOQUBIT and result[1] is None:
-        report = result[0]
-        if spec.output_format == "json":
-            primary = _render_json(manifest, None, None, report=report)
-        else:
-            columns = ("h0", "hr_re", "hr_im", "max_residual",
-                       "eigenvalue_set_distance", "hermitian", "degenerate")
-            row = (report["h0"], report["hr"][0], report["hr"][1],
-                   max(report["residuals"]),
-                   _set_distance(report), report["hermitian"],
-                   report["degenerate"])
-            primary = _render_csv(columns, [row])
+    if spec.output_format == "json":
+        primary = _render_json(manifest, columns, rows, report=report)
     else:
-        columns, rows = result
-        if spec.output_format == "json":
-            primary = _render_json(manifest, columns, rows)
-        else:
-            primary = _render_csv(columns, rows)
+        primary = _render_csv(columns, rows)
     sidecar = _sidecar_text(manifest)
     if spec.output_path != STDOUT_MARKER:
-        files[spec.output_path] = primary
-        files[spec.output_path + ".manifest.json"] = sidecar
+        state.files[spec.output_path] = primary
+        state.files[spec.output_path + ".manifest.json"] = sidecar
     try:
-        _write_files(files)
+        _write_files(state.files)
     except OSError as exc:
         sys.stderr.write(f"{spec.target}: cannot write {exc.filename}: "
                          f"{exc.strerror}\n")
@@ -570,21 +575,15 @@ def run(spec: SweepSpec) -> int:
     return 0
 
 
-def _set_distance(report: dict) -> float:
-    claimed = [complex(re, im) for re, im in report["claimed_eigenvalues"]]
-    numeric = [complex(re, im) for re, im in report["numeric_eigenvalues"]]
-    fwd = max(min(abs(c - n) for n in numeric) for c in claimed)
-    bwd = max(min(abs(n - c) for c in claimed) for n in numeric)
-    return max(fwd, bwd)
-
-
-def _schema_help(target: str) -> str:
-    lines = [f"config keys for {target} (key=value, # comments allowed):"]
-    for key, (caster, default, help_text) in _SCHEMAS[target].items():
+def _schema_help(name: str) -> str:
+    target = _TARGETS[name]
+    lines = [f"config keys for {name} (key=value, # comments allowed):"]
+    for key, (caster, default, help_text) in target.schema.items():
         lines.append(f"  {key} ({caster.__name__}, default {default!r}): {help_text}")
-    lines.append(f"sweepable keys: {', '.join(_SWEEPABLE[target])}")
-    if target in _COLUMNS:
-        lines.append(f"csv columns: {', '.join(_COLUMNS[target])}")
+    lines.append(f"sweepable keys: {', '.join(target.sweepable)}")
+    listed = target.columns if target.single is None else target.single_columns
+    if listed:
+        lines.append(f"csv columns: {', '.join(listed)}")
     return "\n".join(lines)
 
 
@@ -593,11 +592,12 @@ def main(argv=None) -> int:
         prog="entangler",
         description="Batch driver for the two-qubit entangler toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, target in _SUBCOMMANDS.items():
+    for name, target in _TARGETS.items():
         p = sub.add_parser(
-            name, help=f"run the {target} target",
-            epilog=_schema_help(target),
+            target.command, help=f"run the {name} target",
+            epilog=_schema_help(name),
             formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(target=name)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -605,7 +605,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None,
                        help="output path, or - for standard output (default)")
     args = parser.parse_args(argv)
-    target = _SUBCOMMANDS[args.command]
 
     text = ""
     if args.config:
@@ -616,29 +615,23 @@ def main(argv=None) -> int:
             sys.stderr.write(f"config error: cannot read {args.config}: {exc}\n")
             return 2
     try:
-        lines = list(text.splitlines())
-        has_target = any(
-            "=" in stripped and stripped.split("=", 1)[0].strip() == "target"
-            for stripped in (line.split("#", 1)[0].strip() for line in lines))
-        if not has_target:
-            lines.insert(0, f"target={target}")
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
-            lines.append(override)
-        spec = parse_config("\n".join(lines))
-        if spec.target != target:
+        # The subcommand's target goes first, so a target line in the config
+        # or a --set replaces it and is caught as a conflict below.
+        spec = parse_config("\n".join([f"target={args.target}", text, *args.set]))
+        if spec.target != args.target:
             raise ConfigError(
                 f"config target {spec.target!r} conflicts with subcommand "
-                f"{args.command!r} ({target})")
-        if args.format:
-            spec.output_format = args.format
-        if args.out is not None:
-            spec.output_path = args.out
-        _resolve(spec)
+                f"{args.command!r} ({args.target})")
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    if args.format:
+        spec.output_format = args.format
+    if args.out is not None:
+        spec.output_path = args.out
     return run(spec)
 
 

@@ -17,6 +17,7 @@ through the fidelity |tr(U^dag V)| / 4.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,10 +149,20 @@ def exchange_evolution(pulse) -> Gate4:
 
 
 def exchange_evolution_expm(pulse) -> Gate4:
-    """Same operator through the raw matrix exponential, for cross-checking."""
-    # Lazy: scipy.linalg adds ~0.27 s to start-up and only this check uses it.
-    from scipy.linalg import expm
-    return Gate4(expm(-1j * _alpha_of(pulse) * spin_dot_operator()))
+    """Same operator as a matrix exponential, V diag(exp(-i alpha w)) V^dag
+    from the eigen decomposition of S_s.S_c: a numeric cross-check that
+    does not use the SWAP identity behind the closed form."""
+    w, v = _spin_dot_eigh()
+    phases = np.exp(-1j * _alpha_of(pulse) * w)
+    return Gate4((v * phases) @ v.conj().T)
+
+
+@functools.cache
+def _spin_dot_eigh() -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of S_s.S_c, taken once. Not at import:
+    the first LAPACK call adds ~1.4 MiB of resident memory, which runs
+    that never cross-check a gate should not pay."""
+    return np.linalg.eigh(spin_dot_operator())
 
 
 def _embed(which_qubit: str, gate2: np.ndarray) -> np.ndarray:

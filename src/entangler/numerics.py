@@ -1,4 +1,4 @@
-"""Shared numerical kernel: quadrature, erfcx, small eigen solvers, FD reference.
+"""Shared numerical kernel: quadrature, erfcx, small eigen solvers.
 
 Everything here works in natural units (hbar = m = 1, effective masses are
 dimensionless ratios) and is a pure function of its inputs, so results are
@@ -20,7 +20,6 @@ __all__ = [
     "erfcx",
     "EigenSystem",
     "eigen_small",
-    "fd_schrodinger_oracle",
     "is_hermitian",
 ]
 
@@ -193,33 +192,3 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     a = np.asarray(m, dtype=complex)
     scale = max(1.0, float(np.abs(a).max()))
     return bool(np.abs(a - a.conj().T).max() <= tol * scale)
-
-
-def fd_schrodinger_oracle(potential: Callable[[np.ndarray], np.ndarray],
-                          grid: Grid1D, m_eff: float, n_levels: int) -> np.ndarray:
-    """Lowest n_levels eigenvalues of -(1/2 m*) d2/dy2 + V(y), Dirichlet ends.
-
-    Second-order central differences on the interior points give a symmetric
-    tridiagonal problem; convergence is O(h^2). Used as the independent
-    reference for the quasilinearization spectrum.
-    """
-    if m_eff <= 0:
-        raise ValueError("m_eff must be positive")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    if grid.n_points < 3 * n_levels:
-        raise ValueError(
-            f"grid too coarse: {grid.n_points} points for {n_levels} levels "
-            f"(need at least {3 * n_levels})"
-        )
-    # Lazy: scipy.linalg adds ~0.27 s to start-up and the CLI never calls this.
-    from scipy.linalg import eigh_tridiagonal
-    y = grid.points()
-    h = grid.spacing
-    v = np.asarray(potential(y[1:-1]), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential not finite on the grid interior")
-    diag = 1.0 / (m_eff * h * h) + v
-    off = np.full(grid.n_points - 3, -0.5 / (m_eff * h * h))
-    return eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, n_levels - 1), eigvals_only=True)

@@ -15,9 +15,10 @@ from entangler.gates import (BELL_LABELS, CNOT, SWAP, Gate4, TwoQubitState,
                              apply, bell_state, cnot_from_sqrt_swap,
                              concurrence, exchange_evolution_expm,
                              gate_fidelity, spin_dot_operator, u_swap_alpha)
-from entangler.numerics import Grid1D, eigen_small, fd_schrodinger_oracle
+from entangler.numerics import Grid1D, eigen_small
 from entangler.source_spectrum import HMatrix2, SourceParams, build_hmatrix, spin_split
 from entangler.twoqubit_channel import build_matrix, claimed_vs_numeric
+from fd_oracle import fd_schrodinger_oracle
 
 PRINTED_SQRT_SWAP = np.array(
     [[1, 0, 0, 0],
@@ -50,13 +51,15 @@ def test_c01_gate_identities():
 
 
 def test_c02_projector_exponential_equivalence():
+    from scipy.linalg import expm  # a second, independent exponential
     rng = np.random.default_rng(202)
     ok = True
     for alpha in rng.uniform(0.0, 4 * math.pi, size=100):
         forms = [Gate4(bell_projector_sum(alpha)), u_swap_alpha(alpha),
-                 exchange_evolution_expm(alpha)]
-        for i in range(3):
-            for j in range(i + 1, 3):
+                 exchange_evolution_expm(alpha),
+                 Gate4(expm(-1j * alpha * spin_dot_operator()))]
+        for i in range(4):
+            for j in range(i + 1, 4):
                 ok &= gate_fidelity(forms[i], forms[j]) >= 1.0 - 1e-12
     check(2, "projector, matrix, and exponential forms agree up to phase",
           bool(ok))

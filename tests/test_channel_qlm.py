@@ -8,7 +8,8 @@ from entangler.channel_qlm import (ChannelPotentialParams, QlmConfig, QlmError,
                                    harmonic_reference_potential, qlm_energy,
                                    qlm_spectrum, qlm_step)
 
-from entangler.numerics import Grid1D, fd_schrodinger_oracle
+from entangler.numerics import Grid1D
+from fd_oracle import fd_schrodinger_oracle
 
 # Frozen finite-difference ground truth for the quartic double well
 # (m* = omega = a = 1, no Coulomb term), grid [-10, 10] x 4001; doubling the
@@ -47,8 +48,9 @@ class TestChannelPotential:
         assert v.min() >= 0.0
 
     def test_warns_on_inconsistent_harmonic_length(self):
-        with pytest.warns(UserWarning, match="harmonic length"):
+        with pytest.warns(UserWarning, match="harmonic length") as record:
             ChannelPotentialParams(omega=2.0, a=1.0)
+        assert record[0].filename == __file__  # the caller, not __init__
 
 
 class TestQlmStep:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
@@ -351,15 +356,13 @@ import json, os, sys
 from entangler.cli import main
 out = sys.argv[1]
 codes = {c: main([c, "--out", os.path.join(out, c + ".csv")])
-         for c in ("source", "channel", "twoqubit")}
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes["gates"] = main(["gates", "--out", os.path.join(out, "gates.csv")])
-print(json.dumps({"codes": codes, "scipy_before_gates": before,
-                  "linalg_after_gates": "scipy.linalg" in sys.modules}))
+         for c in ("source", "channel", "twoqubit", "gates")}
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_scipy_linalg_loaded_only_by_gates(tmp_path):
+def test_no_scipy_module_loaded_by_any_target(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -369,5 +372,200 @@ def test_scipy_linalg_loaded_only_by_gates(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == {"source": 0, "channel": 0, "twoqubit": 0,
                                "gates": 0}
-    assert result["scipy_before_gates"] == []
-    assert result["linalg_after_gates"] is True
+    assert result["scipy"] == []
+
+
+# Property tests of the README contracts. Only the size keys (n_points,
+# y_points, x_count, iterations, sweep steps) are bounded, to keep them fast.
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
+
+COMMANDS = ("source", "channel", "twoqubit", "gates")
+SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
+             "channel": ("omega", "coulomb_k", "g"),
+             "twoqubit": ("omega", "k", "alpha_r", "coulomb_k", "lambda"),
+             "gates": ("alpha",)}
+FLOAT_KEYS = {
+    "source": ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
+               "reg_delta", "y_min", "y_max"),
+    "channel": ("m_eff", "omega", "a", "coulomb_k", "fermi_l", "g"),
+    "twoqubit": ("m_eff", "omega", "a_b", "lambda", "k", "alpha_r",
+                 "coulomb_k", "fermi_l"),
+    "gates": ("alpha",),
+}
+ENUMS = {"potential": ("quartic", "harmonic"),
+         "wave_direction": ("along_y", "along_x")}
+
+
+def finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+NON_POSITIVE = finite(max_value=0.0)
+NEGATIVE = finite(max_value=0.0, exclude_max=True).filter(lambda v: v < 0)
+WORD = st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12)
+
+# Values outside each key's domain, with the other keys at their defaults
+# (y_min = -2, y_max = 2, l_x = pi, reg_delta = 1e-3).
+OUT_OF_DOMAIN = {
+    "source": dict(
+        m_eff=NON_POSITIVE, omega=NON_POSITIVE, r_coulomb=NON_POSITIVE,
+        beta=NEGATIVE, alpha_r=NEGATIVE, l_x=finite(max_value=0.01),
+        reg_delta=st.one_of(NON_POSITIVE, finite(min_value=math.pi / 10)),
+        y_min=finite(min_value=2.0), y_max=finite(max_value=-2.0),
+        x_count=st.integers(max_value=0), y_points=st.integers(max_value=2)),
+    "channel": dict(
+        m_eff=NON_POSITIVE, omega=NON_POSITIVE, a=NON_POSITIVE,
+        fermi_l=NON_POSITIVE, coulomb_k=NEGATIVE, g=NEGATIVE,
+        n_points=st.integers(max_value=2), iterations=st.integers(max_value=0),
+        potential=WORD.filter(lambda w: w not in ENUMS["potential"])),
+    "twoqubit": dict(
+        m_eff=NON_POSITIVE, omega=NON_POSITIVE, a_b=NON_POSITIVE,
+        fermi_l=NON_POSITIVE, alpha_r=NEGATIVE, coulomb_k=NEGATIVE,
+        wave_direction=WORD.filter(lambda w: w not in ENUMS["wave_direction"]),
+        **{"lambda": NON_POSITIVE}),
+    "gates": {},
+}
+
+
+def bad_settings():
+    non_finite = st.sampled_from(["nan", "inf", "-inf", "-NaN", "Infinity"])
+    cases = [st.tuples(st.just(c), st.just(k), non_finite)
+             for c in COMMANDS for k in FLOAT_KEYS[c]]
+    cases += [st.tuples(st.just(c), st.just(k), values.map(str))
+              for c in COMMANDS for k, values in OUT_OF_DOMAIN[c].items()]
+    return st.one_of(cases)
+
+
+def run_main(args):
+    """main(args) with standard error captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(args)
+    return rc, err.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(bad_settings())
+def test_property_bad_value_exits_two_naming_key(case):
+    command, key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = run_main([command, "--set", f"{key}={value}",
+                            "--out", os.path.join(tmp, "out.csv")])
+        assert rc == 2, err
+        assert re.search(rf"\b{re.escape(key)}\b", err), err
+        assert os.listdir(tmp) == []
+
+
+def in_domain_settings(command):
+    """Config lines for one command, mostly inside every key's domain."""
+    positive = finite(min_value=0.05, max_value=20.0)
+    keys = {
+        "source": dict(m_eff=positive, omega=positive, r_coulomb=positive,
+                       beta=finite(min_value=0.0, max_value=5.0),
+                       alpha_r=finite(min_value=0.0, max_value=2.0),
+                       l_x=finite(min_value=0.5, max_value=10.0),
+                       k=finite(min_value=-5.0, max_value=5.0),
+                       reg_delta=finite(min_value=1e-4, max_value=0.04),
+                       y_min=finite(min_value=-3.0, max_value=-0.1),
+                       y_max=finite(min_value=0.1, max_value=3.0),
+                       x_count=st.integers(1, 3), y_points=st.integers(3, 9)),
+        "channel": dict(m_eff=positive, omega=positive, a=positive,
+                        fermi_l=positive,
+                        coulomb_k=finite(min_value=0.0, max_value=2.0),
+                        g=finite(min_value=0.0, max_value=5.0),
+                        include_vc=st.integers(0, 1),
+                        potential=st.sampled_from(ENUMS["potential"]),
+                        n_points=st.integers(101, 301),
+                        iterations=st.integers(1, 3)),
+        "twoqubit": dict(m_eff=positive, omega=positive, a_b=positive,
+                         fermi_l=positive,
+                         k=finite(min_value=-5.0, max_value=5.0),
+                         alpha_r=finite(min_value=0.0, max_value=2.0),
+                         coulomb_k=finite(min_value=0.0, max_value=2.0),
+                         wave_direction=st.sampled_from(ENUMS["wave_direction"]),
+                         **{"lambda": positive}),
+        "gates": dict(alpha=finite(min_value=-20.0, max_value=20.0)),
+    }[command]
+    return st.fixed_dictionaries({}, optional=keys).map(
+        lambda d: [f"{k}={v}" for k, v in d.items()])
+
+
+def sweep_settings(command, value=None):
+    if value is None:
+        value = finite(min_value=0.05, max_value=5.0)
+    return st.one_of(st.just([]), st.tuples(
+        st.sampled_from(SWEEPABLE[command]), value, value,
+        st.integers(1, 4)).map(lambda t: [
+            f"sweep_key={t[0]}",
+            f"sweep_range={min(t[1], t[2])!r},{max(t[1], t[2])!r},{t[3]}"]))
+
+
+@st.composite
+def valid_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    lines = draw(in_domain_settings(command)) + draw(sweep_settings(command))
+    return command, lines, draw(st.sampled_from(("csv", "json")))
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs())
+def test_property_manifest_reproduces_output(case):
+    command, lines, fmt = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first = os.path.join(tmp, "first")
+        args = [command, "--format", fmt, "--out", first]
+        rc, _ = run_main(args + [a for line in lines for a in ("--set", line)])
+        assume(rc == 0)
+        with open(first + ".manifest.json", encoding="utf-8") as fh:
+            params = json.load(fh)["resolved_parameters"]
+        config = os.path.join(tmp, "replay.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k}={v}\n" for k, v in params.items())
+        again = os.path.join(tmp, "again")
+        assert run_main([command, "--config", config, "--out", again])[0] == 0
+        assert Path(first).read_bytes() == Path(again).read_bytes()
+
+
+OTHER_KEYS = {"source": ("x_count", "y_points"),
+              "channel": ("include_vc", "potential", "n_points", "iterations",
+                          "dump_l"),
+              "twoqubit": ("wave_direction",),
+              "gates": ("dump_matrix",)}
+
+
+def any_value(key):
+    """Any finite value of the key's type; the size keys are bounded."""
+    sizes = {"n_points": st.integers(-2, 301), "y_points": st.integers(-2, 30),
+             "x_count": st.integers(-2, 5), "iterations": st.integers(-2, 4)}
+    if key in sizes:
+        return sizes[key]
+    if key in ENUMS:
+        return st.one_of(st.sampled_from(ENUMS[key]), WORD)
+    if key in ("dump_l", "dump_matrix"):
+        return st.sampled_from(["", "{tmp}/dump.txt"])
+    if key == "include_vc":
+        return st.integers()
+    return finite()
+
+
+@st.composite
+def finite_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    keys = draw(st.lists(st.sampled_from(FLOAT_KEYS[command] + OTHER_KEYS[command]),
+                         unique=True))
+    lines = [f"{k}={draw(any_value(k))!r}" if k in FLOAT_KEYS[command]
+             else f"{k}={draw(any_value(k))}" for k in keys]
+    return command, lines + draw(sweep_settings(command, finite()))
+
+
+@PROPERTY_SETTINGS
+@given(finite_configs())
+def test_property_finite_config_exits_cleanly(case):
+    command, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = [a for line in lines for a in ("--set", line.format(tmp=tmp))]
+        rc, err = run_main([command, "--out", os.path.join(tmp, "out.csv")] + sets)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+        if rc != 0:
+            assert os.listdir(tmp) == [], err

@@ -97,10 +97,12 @@ class TestExchangeEvolution:
         assert np.abs(lhs - rhs).max() <= 1e-14
 
     def test_closed_form_equals_expm(self):
+        from scipy.linalg import expm  # a second, independent exponential
         for alpha in (0.1, math.pi / 2, math.pi, 2.7):
-            dev = np.abs(exchange_evolution(alpha).matrix
-                         - exchange_evolution_expm(alpha).matrix)
-            assert dev.max() <= 1e-13
+            closed = exchange_evolution(alpha).matrix
+            for m in (exchange_evolution_expm(alpha).matrix,
+                      expm(-1j * alpha * spin_dot_operator())):
+                assert np.abs(closed - m).max() <= 1e-13
 
     def test_phase_relation_to_swap_family(self):
         # triplet phase e^{-ia/4}, singlet e^{3ia/4}: same gate up to the

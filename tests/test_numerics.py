@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from entangler.numerics import (Grid1D, QuadratureError, eigen_small, erfcx,
-                                fd_schrodinger_oracle, integrate, is_hermitian)
+                                integrate, is_hermitian)
+from fd_oracle import fd_schrodinger_oracle
 
 # Oracle constants, computed independently before the build:
 # - exp(1) * (1 - erf(1)) with erf from its exact-rational Taylor series

@@ -7,7 +7,8 @@ from entangler.twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitParams,
                                         build_matrix, claimed_vs_numeric,
                                         exchange_strength, expectations)
 from entangler.channel_qlm import channel_potential, ChannelPotentialParams
-from entangler.numerics import Grid1D, fd_schrodinger_oracle
+from entangler.numerics import Grid1D
+from fd_oracle import fd_schrodinger_oracle
 
 SQRT_PI = math.sqrt(math.pi)
 
