@@ -2,7 +2,8 @@
 
 Subpackages by role:
 
-* ``numerics`` - quadrature, erfcx and small dense eigen solvers.
+* ``numerics`` - erfcx, small dense eigen solvers, and an adaptive
+  quadrature that the program no longer calls.
 * ``source_spectrum`` - spin-split spectrum of the 2DEG source lead under
   Rashba coupling.
 * ``channel_qlm`` - channel levels from the Riccati/quasilinearization

@@ -86,7 +86,6 @@ class QlmConfig:
     g: float
     grid: Grid1D
     max_iterations: int = 3
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.g <= 0:
@@ -96,8 +95,6 @@ class QlmConfig:
         if self.max_iterations < 1:
             raise DomainError("max_iterations", "max_iterations must be >= 1, "
                                                 f"got {self.max_iterations}")
-        if self.quad_tol <= 0:
-            raise ValueError("quad_tol must be positive")
         # The zero-iterate weight exp(-g y^2) must be negligible at the edge.
         if math.exp(-self.g * self.grid.y_max ** 2) >= 1e-12:
             raise ValueError(
@@ -255,19 +252,28 @@ def qlm_spectrum(p: ChannelPotentialParams, cfg: QlmConfig,
     """Run the full iteration: energy from the decay condition, then the
     linearized step, repeated max_iterations times.
 
+    The potential is evaluated on the grid once per spectrum.
+
     Returns all iterates in order. A non-finite iterate stops the loop early
     with a warning; callers see the partial list.
     """
     y = cfg.grid.points()
+    # One sample serves every call: qlm_energy and qlm_step evaluate the
+    # potential on cfg.grid only.
+    v = np.asarray(_resolve_potential(p, potential)(y), dtype=float)
+
+    def sampled(_grid_points):
+        return v
+
     l_cur = -cfg.g * y
     out: list[QlmIterate] = []
     for n in range(1, cfg.max_iterations + 1):
-        e_n = qlm_energy(l_cur, p, cfg, potential=potential)
+        e_n = qlm_energy(l_cur, p, cfg, potential=sampled)
         if not math.isfinite(e_n):
             warnings.warn(f"iteration {n} produced a non-finite energy; "
                           f"returning {len(out)} iterates", stacklevel=2)
             break
-        l_cur = qlm_step(l_cur, e_n, p, cfg, potential=potential, assume_decay=True)
+        l_cur = qlm_step(l_cur, e_n, p, cfg, potential=sampled, assume_decay=True)
         if not np.all(np.isfinite(l_cur)):
             warnings.warn(f"iteration {n} produced a non-finite log-derivative; "
                           f"returning {len(out)} iterates", stacklevel=2)

@@ -13,7 +13,6 @@ written).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -35,6 +34,17 @@ from .numerics import DomainError, Grid1D
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
 from .twoqubit_channel import (EigenReport, TwoQubitParams, build_matrix,
                                claimed_vs_numeric, expectations)
+
+# CPython's own SHA-256, as random.py takes its own SHA-512: importing
+# hashlib also maps OpenSSL's libcrypto, about 3.5 MiB of resident memory in
+# every run, for one hash of a short config text.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["SweepSpec", "RunManifest", "ConfigError", "parse_config", "run", "main"]
 
@@ -456,7 +466,7 @@ def _make_manifest(spec: SweepSpec, resolved: dict) -> RunManifest:
         tool_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         resolved_parameters=params,
-        input_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        input_hash=sha256(text.encode("utf-8")).hexdigest(),
     )
 
 

@@ -1,4 +1,9 @@
-"""Shared numerical kernel: quadrature, erfcx, small eigen solvers.
+"""Shared numerical kernel: erfcx, small eigen solvers and a quadrature.
+
+The adaptive Simpson quadrature ``integrate`` has no caller in the program
+any more: both integrals it served (the source log-Coulomb term and the
+two-qubit Coulomb expectation) are taken in closed form. It stays, with
+QuadratureError, while the benchmark's tracer (bench/tracing.py) names it.
 
 Everything here works in natural units (hbar = m = 1, effective masses are
 dimensionless ratios) and is a pure function of its inputs, so results are

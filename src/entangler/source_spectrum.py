@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, eigen_small, integrate
+from .numerics import DomainError, Grid1D, eigen_small
 
 __all__ = [
     "SourceParams",
@@ -101,12 +101,34 @@ def _transverse_density(p: SourceParams, x: float) -> float:
     return (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
 
 
-def _log_coulomb_at(p: SourceParams, y_ref: float, x: float) -> float:
-    separation = max(abs(x - y_ref), p.reg_delta)
-    return -p.beta * math.log(separation / p.r_coulomb)
+# Terms of the Si power series: at z = 2 pi the 22nd term is below 1e-20.
+_SI_TERMS = 22
 
 
-def build_hmatrix(p: SourceParams, quad_tol: float = 1e-10) -> HMatrix2:
+def _si(z: float) -> float:
+    """Sine integral Si(z) = int_0^z sin(t)/t dt for 0 <= z <= 2 pi, by its
+    power series sum_n (-1)^n z^(2n+1) / ((2n+1) (2n+1)!) (Abramowitz &
+    Stegun 5.2.14) with a fixed number of terms."""
+    term = z
+    total = z
+    for n in range(1, _SI_TERMS):
+        term *= -z * z / ((2 * n) * (2 * n + 1))
+        total += term / (2 * n + 1)
+    return total
+
+
+def _log_coulomb(p: SourceParams) -> float:
+    """-(beta/L) [F(L) - F(delta)], the log-Coulomb term of build_hmatrix."""
+    c = 2.0 * math.pi / p.l_x
+
+    def antiderivative(x: float) -> float:
+        log_x = math.log(x / p.r_coulomb)
+        return x * log_x - x - (math.sin(c * x) * log_x - _si(c * x)) / c
+
+    return -(p.beta / p.l_x) * (antiderivative(p.l_x) - antiderivative(p.reg_delta))
+
+
+def build_hmatrix(p: SourceParams) -> HMatrix2:
     """Integrated 2x2 expectation matrix of the lead Hamiltonian.
 
     Diagonal: transverse box kinetic pi^2/(2 m* L_x^2), longitudinal k^2/2m*,
@@ -114,16 +136,22 @@ def build_hmatrix(p: SourceParams, quad_tol: float = 1e-10) -> HMatrix2:
     at the y = 0 cross-section. Off-diagonal: the Rashba coupling; the
     transverse momentum expectation vanishes for the real sin profile, so
     h12 = h21 = alpha k.
+
+    The log-Coulomb expectation int_delta^L (2/L) sin^2(pi x/L)
+    (-beta ln(x/R)) dx is taken in closed form. With
+    2 sin^2(pi x/L) = 1 - cos(c x), c = 2 pi/L, and integration by parts of
+    the cosine term, it is -(beta/L) [F(L) - F(delta)] with
+
+        F(x) = x ln(x/R) - x - (sin(c x) ln(x/R) - Si(c x)) / c.
+
+    Si is only needed on [0, 2 pi], where its power series converges in ~20
+    terms; scipy.special.sici would load scipy in every source run.
     """
     kinetic_x = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2)
     kinetic_y = p.k ** 2 / (2.0 * p.m_eff)
     # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
     harmonic_x = 0.5 * p.m_eff * p.omega ** 2 * p.l_x ** 2 * (1.0 / 3.0 - 0.5 / math.pi ** 2)
-    coulomb = integrate(
-        lambda x: _transverse_density(p, x) * _log_coulomb_at(p, 0.0, x),
-        p.reg_delta, p.l_x, quad_tol,
-    )
-    diag = kinetic_x + kinetic_y + harmonic_x + coulomb
+    diag = kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p)
     rashba = complex(p.alpha_r * p.k)
     return HMatrix2(h11=complex(diag), h12=rashba, h21=rashba.conjugate(),
                     h22=complex(diag))

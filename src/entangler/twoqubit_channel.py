@@ -6,9 +6,12 @@ exp[-y^2/(2 lambda^2) - x^2/(2 a_B^2)] times a plane wave riding either the
 x or the y factor, attached to the 4-spinor (uu, ud, du, dd). The spinless
 expectation <H0> collects the longitudinal kinetic energy, the quartic
 confinement (by Gaussian moments: E[x^2] = a_B^2/2, E[x^4] = 3 a_B^4/4), and
-the screened 1D Coulomb term; the Rashba expectation is
-<H_R> = -i alpha <d/dy>, which is alpha k for propagation along y and zero
-along x.
+the screened 1D Coulomb term, whose Gaussian average has the closed form
+sqrt(pi/2) (K/l) / sqrt(1 - lam^2 / (2 l^2)) (K = coulomb_k, l = fermi_l)
+because erf is odd (Ng & Geller, J. Res. NBS 73B (1969) 1; see
+_vc_expectation); the Rashba
+expectation is <H_R> = -i alpha <d/dy>, which is alpha k for propagation
+along y and zero along x.
 
 The 4x4 matrix is reproduced exactly as the claimed pattern
 
@@ -28,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (DomainError, EigenSystem, eigen_small, erfcx, integrate,
-                       is_hermitian)
+from .numerics import DomainError, EigenSystem, eigen_small, is_hermitian
 
 __all__ = [
     "ALONG_X",
@@ -71,9 +73,10 @@ class TwoQubitParams:
         if self.wave_direction not in (ALONG_Y, ALONG_X):
             raise DomainError("wave_direction",
                               f"wave_direction must be {ALONG_Y!r} or {ALONG_X!r}")
-        if self.coulomb_k > 0 and self.lam >= math.sqrt(2.0) * self.fermi_l:
+        if self.coulomb_k > 0 and _vc_radicand(self) <= 0.0:
             raise DomainError(
-                "lam", "Coulomb expectation diverges unless lam < sqrt(2) * fermi_l "
+                "lam", "Coulomb expectation diverges unless lam < sqrt(2) * fermi_l, "
+                       "i.e. 1 - lam^2 / (2 fermi_l^2) > 0 "
                        f"(got lam = {self.lam}, fermi_l = {self.fermi_l})")
 
 
@@ -94,25 +97,31 @@ class TwoQubitMatrix:
         )
 
 
-def _vc_expectation(p: TwoQubitParams, quad_tol: float = 1e-11) -> float:
-    """Gaussian expectation of the screened 1D Coulomb term by quadrature.
+def _vc_radicand(p: TwoQubitParams) -> float:
+    """1 - lam^2 / (2 fermi_l^2), the radicand of the closed form of <V_c>."""
+    return 1.0 - p.lam ** 2 / (2.0 * p.fermi_l ** 2)
 
-    The integrand exp(-y^2/lam^2) erfcx(y / (sqrt(2) fermi_l)) decays like
-    exp(-y^2 (1/lam^2 - 1/(2 fermi_l^2))) on the negative side; truncation
-    is placed where that envelope falls below 1e-18.
+
+def _vc_expectation(p: TwoQubitParams) -> float:
+    """Gaussian expectation of the screened 1D Coulomb term, in closed form.
+
+    With K = coulomb_k and l = fermi_l,
+    <V_c> = int exp(-y^2/lam^2) / (lam sqrt(pi)) * sqrt(pi/2) (K/l)
+    erfcx(y / (sqrt(2) l)) dy. Writing erfcx(u) = exp(u^2) (1 - erf(u)), the
+    erf part integrates to zero against the even Gaussian because erf is odd,
+    and what is left is the Gaussian integral of exp(-a y^2) with
+    a = 1/lam^2 - 1/(2 l^2), i.e. sqrt(pi/a) (Ng & Geller, J. Res. NBS 73B
+    (1969) 1). Hence
+
+        <V_c> = sqrt(pi/2) (K/l) / sqrt(1 - lam^2 / (2 l^2)),
+
+    finite exactly where the radicand is positive, which TwoQubitParams
+    checks.
     """
     if p.coulomb_k == 0.0:
         return 0.0
-    decay = 1.0 / p.lam ** 2 - 0.5 / p.fermi_l ** 2
-    y_cut = math.sqrt(42.0 / decay)
-    norm = 1.0 / (p.lam * math.sqrt(math.pi))
-    scale = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
-
-    def integrand(y: float) -> float:
-        return norm * math.exp(-(y / p.lam) ** 2) * scale * erfcx(
-            y / (math.sqrt(2.0) * p.fermi_l))
-
-    return integrate(integrand, -y_cut, y_cut, quad_tol)
+    return (math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
+            / math.sqrt(_vc_radicand(p)))
 
 
 def expectations(p: TwoQubitParams) -> tuple[float, complex]:

@@ -148,6 +148,27 @@ class TestQlmSpectrum:
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] / E0_FD_QUARTIC <= 0.10
 
+    def test_potential_sampled_once_and_iterates_match_public_loop(self):
+        p = ChannelPotentialParams(coulomb_k=0.4, fermi_l=0.8, include_vc=True)
+        cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0, 1001), max_iterations=3)
+        calls = []
+
+        def counting(y):
+            calls.append(len(y))
+            return channel_potential(p, y)
+
+        its = qlm_spectrum(p, cfg, potential=counting)
+        assert calls == [1001]
+        # reference: the same iteration through the public functions, each
+        # sampling the potential itself
+        l_cur = -cfg.g * cfg.grid.points()
+        for it in its:
+            e_n = qlm_energy(l_cur, p, cfg)
+            l_cur = qlm_step(l_cur, e_n, p, cfg)
+            assert it.e_n == e_n
+            assert np.array_equal(it.l_n, l_cur)
+        assert len(its) == 3
+
     def test_fd_fixture_still_valid(self):
         e0 = fd_schrodinger_oracle(lambda y: channel_potential(QUARTIC, y),
                                    Grid1D(-10.0, 10.0, 4001), 1.0, 1)[0]

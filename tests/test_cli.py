@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
@@ -129,6 +130,9 @@ class TestRun:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
         manifest2 = json.loads((tmp_path / "two.csv.manifest.json").read_text())
         assert manifest["input_hash"] == manifest2["input_hash"]
+        canonical = "".join(f"{k}={v}\n" for k, v in sorted(params.items()))
+        assert manifest["input_hash"] == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
 
     def test_twoqubit_json_report_fields(self, tmp_path):
         out = tmp_path / "report.json"
@@ -139,6 +143,17 @@ class TestRun:
         assert set(report) >= {"h0", "hr", "claimed_eigenvalues",
                                "numeric_eigenvalues", "residuals",
                                "hermitian", "degenerate"}
+
+    def test_twoqubit_coulomb_near_domain_edge(self, tmp_path):
+        # lambda = 1.40 is inside lambda < sqrt(2) fermi_l; a truncated
+        # quadrature of the Coulomb term used to fail here
+        out = tmp_path / "edge.csv"
+        assert main(["twoqubit", "--set", "coulomb_k=0.7", "--set", "lambda=1.40",
+                     "--out", str(out)]) == 0
+        h0 = float(out.read_text().splitlines()[1].split(",")[0])
+        closed = (1.0 / (4.0 * 1.40 ** 2) + 0.5 + 3.0 / 32.0
+                  + math.sqrt(math.pi / 2.0) * 0.7 / math.sqrt(1.0 - 1.40 ** 2 / 2.0))
+        assert h0 == pytest.approx(closed, rel=1e-15)
 
     def test_channel_dump_l(self, tmp_path):
         dump = tmp_path / "l.csv"
@@ -245,6 +260,10 @@ class TestMain:
           "--set", "sweep_range=-1,1,3"], "key 'omega'"),
         (["twoqubit", "--set", "lambda=1.5", "--set", "coulomb_k=0.3"],
          "key 'lambda'"),
+        # the float just below sqrt(2) * fermi_l, where the radicand
+        # 1 - lambda^2 / (2 fermi_l^2) of the Coulomb term rounds to 0
+        (["twoqubit", "--set", "fermi_l=0.7", "--set", "lambda=0.9899494936611665",
+          "--set", "coulomb_k=0.5"], "key 'lambda'"),
     ])
     def test_out_of_domain_exits_two_without_output(self, tmp_path, capsys,
                                                     args, named):
@@ -358,21 +377,34 @@ out = sys.argv[1]
 codes = {c: main([c, "--out", os.path.join(out, c + ".csv")])
          for c in ("source", "channel", "twoqubit", "gates")}
 print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "openssl": "_hashlib" in sys.modules}))
 """
 
 
-def test_no_scipy_module_loaded_by_any_target(tmp_path):
+@pytest.fixture(scope="module")
+def all_targets_in_one_process(tmp_path_factory):
+    """Modules loaded after every target ran once in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path_factory.mktemp("probe"))],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == {"source": 0, "channel": 0, "twoqubit": 0,
                                "gates": 0}
-    assert result["scipy"] == []
+    return result
+
+
+def test_no_scipy_module_loaded_by_any_target(all_targets_in_one_process):
+    assert all_targets_in_one_process["scipy"] == []
+
+
+def test_openssl_not_loaded_by_any_target(all_targets_in_one_process):
+    # the manifest hash uses CPython's built-in SHA-256, not hashlib's OpenSSL
+    assert all_targets_in_one_process["openssl"] is False
 
 
 # Property tests of the README contracts. Only the size keys (n_points,
@@ -524,6 +556,38 @@ def test_property_manifest_reproduces_output(case):
         again = os.path.join(tmp, "again")
         assert run_main([command, "--config", config, "--out", again])[0] == 0
         assert Path(first).read_bytes() == Path(again).read_bytes()
+
+
+@st.composite
+def twoqubit_configs(draw):
+    """Every float key 0 or of magnitude in [1e-6, 1e6], within the sign its
+    domain allows; lambda often within a few floats of sqrt(2) fermi_l."""
+    magnitude = finite(min_value=1e-6, max_value=1e6)
+    signs = {"k": st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v)),
+             "alpha_r": st.one_of(st.just(0.0), magnitude),
+             "coulomb_k": st.one_of(st.just(0.0), magnitude)}
+    values = {key: draw(signs.get(key, magnitude)) for key in FLOAT_KEYS["twoqubit"]}
+    if draw(st.booleans()):
+        lam = math.sqrt(2.0) * values["fermi_l"]
+        for _ in range(draw(st.integers(0, 3))):
+            lam = math.nextafter(lam, 0.0)
+        values["lambda"] = lam
+    lines = [f"{k}={v!r}" for k, v in values.items()]
+    return lines + [f"wave_direction={draw(st.sampled_from(ENUMS['wave_direction']))}"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(twoqubit_configs())
+@example(["fermi_l=0.7", "lambda=0.9899494936611665", "coulomb_k=0.5"])
+@example(["fermi_l=0.001", "lambda=0.001414213562373095", "coulomb_k=0.5"])
+def test_property_twoqubit_in_domain_succeeds(lines):
+    """A twoqubit config either fails a domain check (exit 2) or succeeds:
+    no float key in 0 or [1e-6, 1e6] in magnitude makes it exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = [a for line in lines for a in ("--set", line)]
+        rc, err = run_main(["twoqubit", "--out", os.path.join(tmp, "out.csv")]
+                           + sets)
+        assert rc in (0, 2), err
 
 
 OTHER_KEYS = {"source": ("x_count", "y_points"),

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from entangler.numerics import Grid1D, eigen_small
-from entangler.source_spectrum import (HMatrix2, SourceParams, build_hmatrix,
-                                       chart_delta_e, spin_split)
+from entangler.source_spectrum import (HMatrix2, SourceParams, _log_coulomb,
+                                       _si, build_hmatrix, chart_delta_e,
+                                       spin_split)
 
 DEFAULTS = dict(m_eff=1.0, omega=1.0, beta=0.5, r_coulomb=1.0, alpha_r=0.2,
                 l_x=math.pi, k=1.0, reg_delta=1e-3)
@@ -42,6 +43,33 @@ class TestBuildHMatrix:
         box = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2)
         x2 = p.l_x ** 2 * (1.0 / 3.0 - 0.5 / math.pi ** 2)
         assert h.h11.real == pytest.approx(box + 0.5 * x2, rel=1e-12)
+
+    @pytest.mark.parametrize("changes", [
+        {}, {"beta": 0.0}, {"reg_delta": 1e-9}, {"reg_delta": 0.3},
+        {"l_x": 1.0, "r_coulomb": 0.3, "beta": 1.7, "reg_delta": 0.05},
+        {"l_x": 6.0, "r_coulomb": 2.5, "beta": 0.9, "reg_delta": 1e-5}])
+    def test_log_coulomb_matches_quadrature(self, changes):
+        from scipy.integrate import quad
+        p = SourceParams(**{**DEFAULTS, **changes})
+
+        def integrand(x):
+            return (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2 * (
+                -p.beta * math.log(x / p.r_coulomb))
+
+        ref = quad(integrand, p.reg_delta, p.l_x, points=[p.r_coulomb],
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0] if p.beta else 0.0
+        got = _log_coulomb(p)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+        diag = (math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2) + p.k ** 2 / (2.0 * p.m_eff)
+                + 0.5 * p.m_eff * p.omega ** 2 * p.l_x ** 2
+                * (1.0 / 3.0 - 0.5 / math.pi ** 2) + got)
+        assert build_hmatrix(p).h11 == diag
+
+    def test_sine_integral_series_matches_sici(self):
+        from scipy.special import sici
+        z = np.linspace(0.0, 2.0 * math.pi, 1001)
+        assert _si(0.0) == 0.0
+        assert max(abs(_si(v) - sici(v)[0]) for v in z) <= 1e-14
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

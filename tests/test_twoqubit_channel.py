@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from entangler.twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitParams,
-                                        build_matrix, claimed_vs_numeric,
-                                        exchange_strength, expectations)
+                                        _vc_expectation, build_matrix,
+                                        claimed_vs_numeric, exchange_strength,
+                                        expectations)
 from entangler.channel_qlm import channel_potential, ChannelPotentialParams
 from entangler.numerics import Grid1D
 from fd_oracle import fd_schrodinger_oracle
@@ -38,6 +39,26 @@ class TestExpectations:
         p = TwoQubitParams(k=0.0, coulomb_k=1.0)
         h0, _ = expectations(p)
         assert h0 == pytest.approx(0.34375 + SQRT_PI, rel=1e-9)
+
+    @pytest.mark.parametrize("lam, fermi_l, coulomb_k", [
+        (1.0, 1.0, 1.0), (0.8, 1.0, 0.3), (0.5, 0.7, 0.5), (1.2, 1.0, 0.7),
+        (1.37, 1.0, 0.7), (0.3, 2.0, 1.2), (1.40, 1.0, 0.7)])
+    def test_coulomb_expectation_matches_quadrature(self, lam, fermi_l, coulomb_k):
+        from scipy.integrate import quad
+        from scipy.special import erfc
+
+        # the Gaussian times erfcx(u) = exp(u^2) erfc(u), erfc not split
+        # into 1 - erf as the closed form does
+        def integrand(y):
+            return math.exp(-y * y / lam ** 2 + y * y / (2.0 * fermi_l ** 2)) * erfc(
+                y / (math.sqrt(2.0) * fermi_l))
+
+        halves = [quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                  for a, b in ((-math.inf, 0.0), (0.0, math.inf))]
+        ref = (math.sqrt(math.pi / 2.0) * coulomb_k / fermi_l
+               / (lam * SQRT_PI) * sum(halves))
+        p = TwoQubitParams(lam=lam, fermi_l=fermi_l, coulomb_k=coulomb_k)
+        assert _vc_expectation(p) == pytest.approx(ref, rel=1e-13)
 
     def test_plane_wave_kinetic_term(self):
         h0_rest, _ = expectations(TwoQubitParams(k=0.0))
