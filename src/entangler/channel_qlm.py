@@ -7,14 +7,16 @@ linearization gives the iteration
 
     l_n' + 2 l_{n-1} l_n = l_{n-1}^2 - k_n^2,
 
-solved with the integrating factor u(y) = exp(int 2 l_{n-1}). The energy of
-each iterate comes from the decay condition u(y) l_n(y) -> 0 at large y,
+solved with the integrating factor w(y) = exp(int 2 l_{n-1}). The energy of
+each iterate comes from the decay condition w(y) l_n(y) -> 0 at large y,
 which fixes
 
-    E_n = int w (l_{n-1}^2 + 2 m* V) / (2 m* int w),   w = exp(2 int l_{n-1}).
+    E_n = int w (l_{n-1}^2 + 2 m* V) / (2 m* int w).
 
 Everything lives on the half line [0, y_max] with even-parity states
 (l(0) = 0), matching the zero iterate l_0 = -g y of a symmetric well.
+qlm_spectrum runs the iteration; qlm_weight, qlm_energy and qlm_step are its
+per-iterate kernels on arrays sampled on the grid.
 """
 from __future__ import annotations
 
@@ -34,15 +36,17 @@ __all__ = [
     "QlmError",
     "channel_potential",
     "harmonic_reference_potential",
-    "qlm_step",
+    "qlm_weight",
     "qlm_energy",
+    "qlm_step",
     "qlm_spectrum",
     "default_qlm_grid",
 ]
 
 
 class QlmError(RuntimeError):
-    """Iteration failure: integrating-factor blow-up or non-decaying weight."""
+    """Iteration failure: integrating-factor blow-up, non-decaying weight or a
+    non-finite iterate."""
 
 
 @dataclass(frozen=True)
@@ -173,110 +177,90 @@ def _backward_cumulative(f: np.ndarray, h: float) -> np.ndarray:
     return _cumulative(f[::-1], h)[::-1]
 
 
-def _resolve_potential(p: ChannelPotentialParams,
-                       potential: Callable | None) -> Callable:
-    if potential is None:
-        return lambda y: channel_potential(p, y)
-    return potential
+def qlm_weight(prev_l: np.ndarray, cfg: QlmConfig) -> np.ndarray:
+    """w = exp(2 int_0^y prev_l) on cfg.grid: the integrating factor of the
+    step and the weight of the energy integral.
 
-
-def _weight(prev_l: np.ndarray, cfg: QlmConfig) -> np.ndarray:
-    """exp(2 int_0^y prev_l), guarded against overflow of the exponent."""
-    h = cfg.grid.spacing
-    expo = 2.0 * _cumulative(np.asarray(prev_l, dtype=float), h)
+    Raises QlmError if the exponent would overflow, if w(y_max) > 1e-8 max(w)
+    (the energy integral would be truncation dominated) or if w underflows to
+    zero (the step divides by it); ValueError if prev_l is not on cfg.grid.
+    """
+    prev_l = np.asarray(prev_l, dtype=float)
+    if prev_l.shape != (cfg.grid.n_points,):
+        raise ValueError("prev_l must be sampled on cfg.grid")
+    expo = 2.0 * _cumulative(prev_l, cfg.grid.spacing)
     if expo.max() > 700.0:
         i = int(np.argmax(expo > 700.0))
-        raise QlmError(
-            f"integrating factor overflows at y = {cfg.grid.points()[i]:.6g}; "
-            "previous iterate grows instead of decaying"
-        )
-    return np.exp(expo)
+        raise QlmError(f"integrating factor overflows at y = "
+                       f"{cfg.grid.points()[i]:.6g}; previous iterate grows "
+                       "instead of decaying")
+    w = np.exp(expo)
+    if w[-1] > 1e-8 * w.max():
+        raise QlmError(f"weight does not decay: w(y_max)/max(w) = "
+                       f"{w[-1] / w.max():.3g}; the energy integral would be "
+                       "truncation dominated")
+    if w.min() == 0.0:
+        i = int(np.argmin(w))
+        raise QlmError(f"integrating factor underflows to zero at "
+                       f"y = {cfg.grid.points()[i]:.6g}; shorten the grid")
+    return w
 
 
-def qlm_step(prev_l: np.ndarray, energy_guess: float, p: ChannelPotentialParams,
-             cfg: QlmConfig, *, potential: Callable | None = None,
-             assume_decay: bool = True) -> np.ndarray:
-    """One linearized update: returns l_n on the grid given l_{n-1} and E.
-
-    With assume_decay=True (the iteration default) the forward integral
-    (1/u) int_0^y u Q is evaluated from the tail side as -B(y)/u(y) with
-    B(y) = int_y^ymax u Q, using the decay condition int_0^inf u Q = 0 that
-    defines the energy. This keeps the far tail accurate; the plain forward
-    form amplifies quadrature rounding by 1/u(y) and is numerically
-    meaningless beyond a few decay lengths. With assume_decay=False the
-    literal forward value (B(0) - B(y))/u(y) is returned, which is the right
-    reading for arbitrary energies that do not satisfy the decay condition.
-    """
-    prev_l = np.asarray(prev_l, dtype=float)
-    y = cfg.grid.points()
-    if prev_l.shape != y.shape:
-        raise ValueError("prev_l must be sampled on cfg.grid")
-    v = np.asarray(_resolve_potential(p, potential)(y), dtype=float)
-    u = _weight(prev_l, cfg)
-    if u.min() == 0.0:
-        i = int(np.argmin(u))
-        raise QlmError(f"integrating factor underflows to zero at y = {y[i]:.6g}; "
-                       "shorten the grid")
-    q = prev_l ** 2 - 2.0 * p.m_eff * (energy_guess - v)
-    b = _backward_cumulative(u * q, cfg.grid.spacing)
-    total = 0.0 if assume_decay else b[0]
-    return (total - b) / u
-
-
-def qlm_energy(prev_l: np.ndarray, p: ChannelPotentialParams, cfg: QlmConfig,
-               *, potential: Callable | None = None) -> float:
+def qlm_energy(prev_l: np.ndarray, w: np.ndarray, v: np.ndarray,
+               p: ChannelPotentialParams, cfg: QlmConfig) -> float:
     """Energy from the decay condition for the current log-derivative.
 
-    E = int w (prev_l^2 + 2 m* V) / (2 m* int w) with w = exp(2 int prev_l).
-    For prev_l = -g y this is the Gaussian-weighted first iterate energy.
+    E = int w (prev_l^2 + 2 m* V) / (2 m* int w), with w = qlm_weight(prev_l)
+    and v the potential, both sampled on cfg.grid. For prev_l = -g y this is
+    the Gaussian-weighted first iterate energy.
     """
-    prev_l = np.asarray(prev_l, dtype=float)
-    y = cfg.grid.points()
-    if prev_l.shape != y.shape:
-        raise ValueError("prev_l must be sampled on cfg.grid")
-    v = np.asarray(_resolve_potential(p, potential)(y), dtype=float)
-    w = _weight(prev_l, cfg)
-    if w[-1] > 1e-8 * w.max():
-        raise QlmError(
-            f"weight does not decay: w(y_max)/max(w) = {w[-1] / w.max():.3g}; "
-            "the energy integral would be truncation dominated"
-        )
     h = cfg.grid.spacing
     num = _cumulative(w * (prev_l ** 2 + 2.0 * p.m_eff * v), h)[-1]
     den = _cumulative(w, h)[-1]
     return num / (2.0 * p.m_eff * den)
 
 
+def qlm_step(prev_l: np.ndarray, w: np.ndarray, energy: float, v: np.ndarray,
+             p: ChannelPotentialParams, cfg: QlmConfig) -> np.ndarray:
+    """One linearized update: l_n on cfg.grid from l_{n-1}, its weight w and
+    the energy that qlm_energy gives them.
+
+    The forward integral (1/w) int_0^y w Q is evaluated from the tail side as
+    -B(y)/w(y) with B(y) = int_y^ymax w Q, using the decay condition
+    int_0^inf w Q = 0 that defines the energy. This keeps the far tail
+    accurate; the plain forward form amplifies quadrature rounding by 1/w(y)
+    and is numerically meaningless beyond a few decay lengths.
+    """
+    q = prev_l ** 2 - 2.0 * p.m_eff * (energy - v)
+    b = _backward_cumulative(w * q, cfg.grid.spacing)
+    return (0.0 - b) / w  # 0.0 - b keeps the last sample +0.0, not -0.0
+
+
 def qlm_spectrum(p: ChannelPotentialParams, cfg: QlmConfig,
                  *, potential: Callable | None = None) -> list[QlmIterate]:
-    """Run the full iteration: energy from the decay condition, then the
-    linearized step, repeated max_iterations times.
+    """Run the iteration max_iterations times: weight, energy from the decay
+    condition, then the linearized step. V (channel_potential unless
+    potential is given) is sampled on cfg.grid once, the weight once per
+    iterate.
 
-    The potential is evaluated on the grid once per spectrum.
-
-    Returns all iterates in order. A non-finite iterate stops the loop early
-    with a warning; callers see the partial list.
+    Returns every iterate in order. A failing iterate, including one whose
+    energy or log-derivative is not finite, raises QlmError naming it.
     """
     y = cfg.grid.points()
-    # One sample serves every call: qlm_energy and qlm_step evaluate the
-    # potential on cfg.grid only.
-    v = np.asarray(_resolve_potential(p, potential)(y), dtype=float)
-
-    def sampled(_grid_points):
-        return v
-
+    v = np.asarray(channel_potential(p, y) if potential is None else potential(y),
+                   dtype=float)
     l_cur = -cfg.g * y
     out: list[QlmIterate] = []
     for n in range(1, cfg.max_iterations + 1):
-        e_n = qlm_energy(l_cur, p, cfg, potential=sampled)
-        if not math.isfinite(e_n):
-            warnings.warn(f"iteration {n} produced a non-finite energy; "
-                          f"returning {len(out)} iterates", stacklevel=2)
-            break
-        l_cur = qlm_step(l_cur, e_n, p, cfg, potential=sampled, assume_decay=True)
-        if not np.all(np.isfinite(l_cur)):
-            warnings.warn(f"iteration {n} produced a non-finite log-derivative; "
-                          f"returning {len(out)} iterates", stacklevel=2)
-            break
+        try:
+            w = qlm_weight(l_cur, cfg)
+            e_n = qlm_energy(l_cur, w, v, p, cfg)
+            if not math.isfinite(e_n):
+                raise QlmError("non-finite energy")
+            l_cur = qlm_step(l_cur, w, e_n, v, p, cfg)
+            if not np.all(np.isfinite(l_cur)):
+                raise QlmError("non-finite log-derivative")
+        except QlmError as exc:
+            raise QlmError(f"iteration {n}: {exc}") from None
         out.append(QlmIterate(n=n, l_n=l_cur, e_n=e_n))
     return out

@@ -59,6 +59,10 @@ MAX_SWEEP_STEPS = 100_000
 # before anything is written for the same reason (50x the 50 x 401 chart).
 MAX_CHART_POINTS = 1_000_000
 
+# Largest accepted channel run, n_points * iterations samples: every iterate
+# keeps its n_points log-derivative samples until the run ends.
+MAX_CHANNEL_SAMPLES = 1_000_000
+
 TARGET_SOURCE = "source_delta_e"
 TARGET_CHANNEL = "channel_qlm"
 TARGET_TWOQUBIT = "twoqubit_eigen"
@@ -200,6 +204,11 @@ def _resolve(spec: SweepSpec) -> dict:
             raise ConfigError(
                 f"x_count * y_points must be <= {MAX_CHART_POINTS}; got "
                 f"{resolved['x_count']} * {resolved['y_points']}")
+    if (spec.target == TARGET_CHANNEL
+            and resolved["n_points"] * resolved["iterations"] > MAX_CHANNEL_SAMPLES):
+        raise ConfigError(
+            f"n_points * iterations must be <= {MAX_CHANNEL_SAMPLES}; got "
+            f"{resolved['n_points']} * {resolved['iterations']}")
     if spec.output_format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {spec.output_format!r}")
     if spec.sweep_key is not None:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from entangler import channel_qlm
 from entangler.channel_qlm import (ChannelPotentialParams, QlmConfig, QlmError,
                                    channel_potential, default_qlm_grid,
                                    harmonic_reference_potential, qlm_energy,
-                                   qlm_spectrum, qlm_step)
+                                   qlm_spectrum, qlm_step, qlm_weight)
 
 from entangler.numerics import Grid1D
 from fd_oracle import fd_schrodinger_oracle
@@ -26,6 +27,16 @@ def harmonic_cfg(omega=1.0, n_points=4001, iters=2):
 
 def harmonic_pot(p):
     return lambda y: harmonic_reference_potential(p, y)
+
+
+def step(prev_l, energy, v, p, cfg):
+    """qlm_step with the weight of prev_l, as one iterate of qlm_spectrum."""
+    return qlm_step(prev_l, qlm_weight(prev_l, cfg), energy, v, p, cfg)
+
+
+def energy(prev_l, v, p, cfg):
+    """qlm_energy with the weight of prev_l, as one iterate of qlm_spectrum."""
+    return qlm_energy(prev_l, qlm_weight(prev_l, cfg), v, p, cfg)
 
 
 class TestChannelPotential:
@@ -58,7 +69,7 @@ class TestQlmStep:
         # l = -omega y reproduces itself at E = omega/2
         cfg = harmonic_cfg()
         y = cfg.grid.points()
-        out = qlm_step(-y, 0.5, QUARTIC, cfg, potential=harmonic_pot(QUARTIC))
+        out = step(-y, 0.5, harmonic_reference_potential(QUARTIC, y), QUARTIC, cfg)
         mask = y <= 6.0
         assert np.abs(out + y)[mask].max() < 2e-6
 
@@ -68,32 +79,22 @@ class TestQlmStep:
         # with y once the WKB tail takes over
         cfg = harmonic_cfg()
         y = cfg.grid.points()
-        out = qlm_step(-y, -1.0, QUARTIC, cfg, potential=harmonic_pot(QUARTIC))
+        out = step(-y, -1.0, harmonic_reference_potential(QUARTIC, y), QUARTIC, cfg)
         interior = (y > 0.0) & (y <= 6.0)
         assert np.all(out[interior] < 0.0)
         outer = (y >= 1.0) & (y <= 6.0)
         assert np.all(np.diff(out[outer]) < 0.0)
 
-    def test_zero_previous_iterate_reduces_to_plain_integral(self):
-        # u = 1, so the step is -int_0^y k^2 = -(2 E y - y^3 / 3) exactly
-        cfg = harmonic_cfg(n_points=2001)
-        y = cfg.grid.points()
-        energy = 0.7
-        out = qlm_step(np.zeros_like(y), energy, QUARTIC, cfg,
-                       potential=harmonic_pot(QUARTIC), assume_decay=False)
-        expected = -(2.0 * energy * y - y ** 3 / 3.0)
-        assert np.abs(out - expected).max() < 1e-7
-
     def test_even_parity_at_origin(self):
         cfg = harmonic_cfg()
-        out = qlm_step(-cfg.grid.points(), 0.5, QUARTIC, cfg,
-                       potential=harmonic_pot(QUARTIC))
+        y = cfg.grid.points()
+        out = step(-y, 0.5, harmonic_reference_potential(QUARTIC, y), QUARTIC, cfg)
         assert abs(out[0]) < 1e-12
 
     def test_growing_iterate_raises(self):
         cfg = harmonic_cfg(n_points=1001)
         with pytest.raises(QlmError, match="overflows"):
-            qlm_step(+50.0 * cfg.grid.points(), 0.5, QUARTIC, cfg)
+            qlm_weight(+50.0 * cfg.grid.points(), cfg)
 
 
 class TestQlmEnergy:
@@ -101,27 +102,29 @@ class TestQlmEnergy:
     def test_harmonic_first_energy(self, omega):
         p = ChannelPotentialParams(omega=omega, a=1.0 / math.sqrt(omega))
         cfg = harmonic_cfg(omega)
-        e1 = qlm_energy(-omega * cfg.grid.points(), p, cfg,
-                        potential=harmonic_pot(p))
+        y = cfg.grid.points()
+        e1 = energy(-omega * y, harmonic_reference_potential(p, y), p, cfg)
         assert e1 == pytest.approx(omega / 2.0, abs=1e-8)
 
     def test_free_particle_gaussian_moment(self):
         # V = 0, g = 1: E = <s^2>/2 under exp(-s^2) = 1/4
         cfg = harmonic_cfg()
-        e = qlm_energy(-cfg.grid.points(), QUARTIC, cfg, potential=lambda y: 0.0 * y)
+        y = cfg.grid.points()
+        e = energy(-y, 0.0 * y, QUARTIC, cfg)
         assert e == pytest.approx(0.25, abs=1e-10)
 
     def test_quartic_first_energy_closed_form(self):
         # Gaussian moments give E1 = 1/4 + 3/32 = 11/32 exactly
         cfg = harmonic_cfg()
-        e1 = qlm_energy(-cfg.grid.points(), QUARTIC, cfg)
+        y = cfg.grid.points()
+        e1 = energy(-y, channel_potential(QUARTIC, y), QUARTIC, cfg)
         assert e1 == pytest.approx(11.0 / 32.0, abs=1e-9)
 
     def test_non_decaying_weight_raises(self):
         grid = Grid1D(0.0, 6.0, 501)
         cfg = QlmConfig(g=1.0, grid=grid, max_iterations=1)
         with pytest.raises(QlmError, match="decay"):
-            qlm_energy(np.full(grid.n_points, -1e-3), QUARTIC, cfg)
+            qlm_weight(np.full(grid.n_points, -1e-3), cfg)
 
 
 class TestQlmSpectrum:
@@ -148,7 +151,7 @@ class TestQlmSpectrum:
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] / E0_FD_QUARTIC <= 0.10
 
-    def test_potential_sampled_once_and_iterates_match_public_loop(self):
+    def test_potential_sampled_once_and_iterates_match_public_loop(self, monkeypatch):
         p = ChannelPotentialParams(coulomb_k=0.4, fermi_l=0.8, include_vc=True)
         cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0, 1001), max_iterations=3)
         calls = []
@@ -157,17 +160,34 @@ class TestQlmSpectrum:
             calls.append(len(y))
             return channel_potential(p, y)
 
+        weights = []
+
+        def counting_weight(prev_l, cfg):
+            weights.append(len(prev_l))
+            return qlm_weight(prev_l, cfg)
+
+        monkeypatch.setattr(channel_qlm, "qlm_weight", counting_weight)
         its = qlm_spectrum(p, cfg, potential=counting)
         assert calls == [1001]
-        # reference: the same iteration through the public functions, each
-        # sampling the potential itself
-        l_cur = -cfg.g * cfg.grid.points()
+        assert weights == [1001] * cfg.max_iterations
+        # reference: the same iteration through the public kernels
+        y = cfg.grid.points()
+        v = channel_potential(p, y)
+        l_cur = -cfg.g * y
         for it in its:
-            e_n = qlm_energy(l_cur, p, cfg)
-            l_cur = qlm_step(l_cur, e_n, p, cfg)
+            w = qlm_weight(l_cur, cfg)
+            e_n = qlm_energy(l_cur, w, v, p, cfg)
+            l_cur = qlm_step(l_cur, w, e_n, v, p, cfg)
             assert it.e_n == e_n
             assert np.array_equal(it.l_n, l_cur)
         assert len(its) == 3
+        # the tail sample is +0.0, so a dump_l row never prints -0
+        assert math.copysign(1.0, its[-1].l_n[-1]) == 1.0
+
+    def test_non_finite_iterate_raises_naming_it(self):
+        cfg = harmonic_cfg(iters=3)
+        with pytest.raises(QlmError, match="^iteration 1: non-finite energy"):
+            qlm_spectrum(QUARTIC, cfg, potential=lambda y: np.full_like(y, np.inf))
 
     def test_fd_fixture_still_valid(self):
         e0 = fd_schrodinger_oracle(lambda y: channel_potential(QUARTIC, y),
@@ -188,13 +208,14 @@ class TestInvariants:
     def test_frequency_scaling(self):
         # (omega -> c omega, g -> c g) scales the harmonic energy by c
         base = harmonic_cfg(1.0)
+        y1 = base.grid.points()
         p1 = ChannelPotentialParams()
-        e1 = qlm_energy(-base.grid.points(), p1, base, potential=harmonic_pot(p1))
+        e1 = energy(-y1, harmonic_reference_potential(p1, y1), p1, base)
         c = 3.0
         scaled = harmonic_cfg(c)
+        y2 = scaled.grid.points()
         p2 = ChannelPotentialParams(omega=c, a=1.0 / math.sqrt(c))
-        e2 = qlm_energy(-c * scaled.grid.points(), p2, scaled,
-                        potential=harmonic_pot(p2))
+        e2 = energy(-c * y2, harmonic_reference_potential(p2, y2), p2, scaled)
         assert e2 == pytest.approx(c * e1, abs=1e-8)
 
     def test_config_validation(self):

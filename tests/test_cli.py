@@ -448,7 +448,12 @@ OUT_OF_DOMAIN = {
     "channel": dict(
         m_eff=NON_POSITIVE, omega=NON_POSITIVE, a=NON_POSITIVE,
         fermi_l=NON_POSITIVE, coulomb_k=NEGATIVE, g=NEGATIVE,
-        n_points=st.integers(max_value=2), iterations=st.integers(max_value=0),
+        # too few points, or n_points * iterations above 1e6 (with the other
+        # at its default of 4001 points or 3 iterations): exit 2 before any
+        # array is made, so 10**12 points are safe here
+        n_points=st.one_of(st.integers(max_value=2), st.integers(min_value=333_334),
+                           st.just(10 ** 12)),
+        iterations=st.one_of(st.integers(max_value=0), st.integers(min_value=250)),
         potential=WORD.filter(lambda w: w not in ENUMS["potential"])),
     "twoqubit": dict(
         m_eff=NON_POSITIVE, omega=NON_POSITIVE, a_b=NON_POSITIVE,
@@ -624,6 +629,8 @@ def finite_configs(draw):
 
 @PROPERTY_SETTINGS
 @given(finite_configs())
+@example(("channel", ["m_eff=1e300"]))
+@example(("channel", ["omega=1e150", "a=1e-75"]))
 def test_property_finite_config_exits_cleanly(case):
     command, lines = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -633,3 +640,8 @@ def test_property_finite_config_exits_cleanly(case):
         assert "Traceback" not in err
         if rc != 0:
             assert os.listdir(tmp) == [], err
+        elif command == "channel":  # exit 0 means the full table
+            values = dict(line.split("=", 1) for line in lines)
+            points = int(values.get("sweep_range", "0,0,1").split(",")[2])
+            rows = Path(tmp, "out.csv").read_text().splitlines()[1:]
+            assert len(rows) == points * int(values.get("iterations", 3)), err
