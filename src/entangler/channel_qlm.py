@@ -135,7 +135,7 @@ def channel_potential(p: ChannelPotentialParams, y):
     if not p.include_vc:
         return quartic if quartic.ndim else float(quartic)
     scale = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
-    vc = scale * np.vectorize(erfcx)(y / (math.sqrt(2.0) * p.fermi_l))
+    vc = scale * erfcx(y / (math.sqrt(2.0) * p.fermi_l))
     out = quartic + vc
     return out if out.ndim else float(out)
 
@@ -245,22 +245,25 @@ def qlm_spectrum(p: ChannelPotentialParams, cfg: QlmConfig,
 
     Returns every iterate in order. A failing iterate, including one whose
     energy or log-derivative is not finite, raises QlmError naming it.
+    numpy's floating-point warnings are silenced here, because each
+    non-finite value they would announce ends in that QlmError.
     """
-    y = cfg.grid.points()
-    v = np.asarray(channel_potential(p, y) if potential is None else potential(y),
-                   dtype=float)
-    l_cur = -cfg.g * y
-    out: list[QlmIterate] = []
-    for n in range(1, cfg.max_iterations + 1):
-        try:
-            w = qlm_weight(l_cur, cfg)
-            e_n = qlm_energy(l_cur, w, v, p, cfg)
-            if not math.isfinite(e_n):
-                raise QlmError("non-finite energy")
-            l_cur = qlm_step(l_cur, w, e_n, v, p, cfg)
-            if not np.all(np.isfinite(l_cur)):
-                raise QlmError("non-finite log-derivative")
-        except QlmError as exc:
-            raise QlmError(f"iteration {n}: {exc}") from None
-        out.append(QlmIterate(n=n, l_n=l_cur, e_n=e_n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = cfg.grid.points()
+        v = np.asarray(channel_potential(p, y) if potential is None
+                       else potential(y), dtype=float)
+        l_cur = -cfg.g * y
+        out: list[QlmIterate] = []
+        for n in range(1, cfg.max_iterations + 1):
+            try:
+                w = qlm_weight(l_cur, cfg)
+                e_n = qlm_energy(l_cur, w, v, p, cfg)
+                if not math.isfinite(e_n):
+                    raise QlmError("non-finite energy")
+                l_cur = qlm_step(l_cur, w, e_n, v, p, cfg)
+                if not np.all(np.isfinite(l_cur)):
+                    raise QlmError("non-finite log-derivative")
+            except QlmError as exc:
+                raise QlmError(f"iteration {n}: {exc}") from None
+            out.append(QlmIterate(n=n, l_n=l_cur, e_n=e_n))
     return out

@@ -13,6 +13,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -606,7 +607,11 @@ def _schema_help(name: str) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state in it, and the append action copies the --set default before it
+    adds to it, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="entangler",
         description="Batch driver for the two-qubit entangler toolkit.")
@@ -623,7 +628,11 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None,
                        help="output path, or - for standard output (default)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     text = ""
     if args.config:

@@ -295,6 +295,91 @@ class TestMain:
         assert len(rows) == 5 * 21
         assert all(r[4] >= 0.0 for r in rows)
 
+    def test_channel_coulomb_golden_across_series_switch(self, capsys):
+        # y_max = 7.5 at g = 1, so u = y / (sqrt(2) fermi_l) runs to 10.6:
+        # one erfcx array holds product (u < 8) and series (u >= 8) samples.
+        # Output captured before erfcx took arrays.
+        assert 7.5 / (math.sqrt(2.0) * 0.5) > 8.0
+        rc = main(["channel", "--set", "include_vc=1", "--set", "coulomb_k=0.3",
+                   "--set", "fermi_l=0.5"])
+        assert rc == 0
+        assert capsys.readouterr().out == ("n,e_n\n"
+                                           "1,0.76569062642958508\n"
+                                           "2,0.65910187014954502\n"
+                                           "3,0.65765891266411936\n")
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def run_fresh(args, cwd=None):
+    """main(args) in a new interpreter: the completed process, output as bytes."""
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from entangler.cli import main; sys.exit(main())", *args],
+        env=child_env(), cwd=cwd, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("setting", ["m_eff=1e300", "g=1e-300"])
+def test_channel_overflow_fails_with_one_stderr_line(tmp_path, setting):
+    # numpy overflows on the way to the non-finite energy; only the failure
+    # line reaches stderr, with no source path from a RuntimeWarning
+    proc = run_fresh(["channel", "--set", setting, "--out", "x.csv"], cwd=tmp_path)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("channel_qlm: computation failed: iteration 1: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# One process, the same parser: each option present in one call and absent
+# in the next, targets interleaved.
+REUSED_PARSER_RUNS = [
+    ["gates", "--config", "{tmp}/gates.cfg", "--set", "alpha=0.5",
+     "--format", "json", "--out", "{out}"],
+    ["gates"],
+    ["channel", "--set", "n_points=401", "--set", "include_vc=1",
+     "--set", "coulomb_k=0.3", "--format", "json"],
+    ["channel", "--config", "{tmp}/channel.cfg", "--out", "{out}"],
+    ["source", "--set", "x_count=2", "--set", "y_points=5", "--out", "{out}"],
+    ["source", "--format", "json"],
+    ["gates", "--set", "alpha=2", "--set", "sweep_key=alpha",
+     "--set", "sweep_range=0,1,3"],
+    ["twoqubit", "--config", "{tmp}/twoqubit.cfg", "--format", "json"],
+    ["twoqubit"],
+]
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path):
+    (tmp_path / "gates.cfg").write_text("alpha=1.0\n")
+    (tmp_path / "channel.cfg").write_text("n_points=201\niterations=2\n")
+    (tmp_path / "twoqubit.cfg").write_text("k=1.5\ncoulomb_k=0.2\n")
+
+    def argv(i, where):
+        return [a.format(tmp=tmp_path, out=tmp_path / f"{where}{i}.out")
+                for a in REUSED_PARSER_RUNS[i]]
+
+    def primary(i, where, stdout):
+        path = tmp_path / f"{where}{i}.out"
+        return path.read_bytes() if path.exists() else stdout
+
+    in_process = []
+    for i in range(len(REUSED_PARSER_RUNS)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv(i, "reused")) == 0
+        in_process.append(primary(i, "reused", out.getvalue().encode()))
+    assert cli._parser() is cli._parser()
+    for i, expected in enumerate(in_process):
+        proc = run_fresh(argv(i, "fresh"))
+        assert proc.returncode == 0, proc.stderr
+        assert primary(i, "fresh", proc.stdout) == expected, REUSED_PARSER_RUNS[i]
+
 
 def reference_value(v, as_json):
     if isinstance(v, bool):
@@ -385,12 +470,10 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 @pytest.fixture(scope="module")
 def all_targets_in_one_process(tmp_path_factory):
     """Modules loaded after every target ran once in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
                            str(tmp_path_factory.mktemp("probe"))],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == {"source": 0, "channel": 0, "twoqubit": 0,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entangler.numerics import (Grid1D, QuadratureError, eigen_small, erfcx,
                                 integrate, is_hermitian)
@@ -94,6 +95,48 @@ class TestErfcx:
 
     def test_overflow_branch(self):
         assert erfcx(-30.0) == math.inf
+
+
+# Each branch of the scalar code and its edges: the sign, the switch to the
+# series at 8, the product overflow near 26.6, the reflection overflow below
+# -26.64, the largest magnitudes and the non-finite values.
+ERFCX_EDGES = [-0.0, 0.0, 8.0, math.nextafter(8.0, 0.0), math.nextafter(8.0, 9.0),
+               26.6, -26.65, 1e300, math.nan, math.inf, -math.inf]
+# Finite floats of both signs, and floats drawn inside each branch.
+ERFCX_ARGS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-27.0, 0.0), st.floats(0.0, 8.0),
+                       st.floats(8.0, 27.0))
+
+
+def float_bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestErfcxArray:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(ERFCX_ARGS, max_size=40))
+    @example(ERFCX_EDGES)
+    @example([])
+    def test_matches_scalar_bit_for_bit(self, values):
+        out = erfcx(np.array(values, dtype=float))
+        assert out.shape == (len(values),)
+        assert float_bits(out) == float_bits([erfcx(v) for v in values])
+
+    def test_dense_grid_across_branches(self):
+        x = np.linspace(-27.0, 27.0, 5401)
+        assert float_bits(erfcx(x)) == float_bits([erfcx(v) for v in x.tolist()])
+
+    def test_keeps_shape(self):
+        x = np.array(ERFCX_EDGES[:10]).reshape(2, 5)
+        out = erfcx(x)
+        assert out.shape == (2, 5)
+        assert float_bits(out.ravel()) == float_bits([erfcx(v) for v in x.ravel()])
+
+    @pytest.mark.parametrize("x", ERFCX_EDGES)
+    def test_zero_dim_gives_float(self, x):
+        out = erfcx(np.array(x))
+        assert type(out) is float
+        assert float_bits([out]) == float_bits([erfcx(x)])
 
 
 class TestEigenSmall:
