@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, erfcx
+from .numerics import DomainError, Grid1D, check_domain, erfcx
 
 __all__ = [
     "ChannelPotentialParams",
@@ -67,13 +67,8 @@ class ChannelPotentialParams:
     include_vc: bool = False
 
     def __post_init__(self):
-        for name in ("m_eff", "omega", "a", "fermi_l"):
-            if getattr(self, name) <= 0:
-                raise DomainError(
-                    name, f"{name} must be positive, got {getattr(self, name)}")
-        if self.coulomb_k < 0:
-            raise DomainError(
-                "coulomb_k", f"coulomb_k must be non-negative, got {self.coulomb_k}")
+        check_domain(self, positive=("m_eff", "omega", "a", "fermi_l"),
+                     non_negative=("coulomb_k",))
         a_natural = 1.0 / math.sqrt(self.omega)
         if abs(self.a - a_natural) > 1e-9 * a_natural:
             warnings.warn(
@@ -92,8 +87,7 @@ class QlmConfig:
     max_iterations: int = 3
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise DomainError("g", f"g must be positive, got {self.g}")
+        check_domain(self, positive=("g",))
         if self.grid.y_min != 0.0:
             raise ValueError("grid must start at y = 0 (half line, even parity)")
         if self.max_iterations < 1:

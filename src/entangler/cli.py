@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
                     u_swap_alpha)
 from .numerics import DomainError, Grid1D
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
-from .twoqubit_channel import (EigenReport, TwoQubitParams, build_matrix,
-                               claimed_vs_numeric, expectations)
+from .twoqubit_channel import (ALONG_X, ALONG_Y, EigenReport, TwoQubitParams,
+                               build_matrix, claimed_vs_numeric, expectations)
 
 # CPython's own SHA-256, as random.py takes its own SHA-512: importing
 # hashlib also maps OpenSSL's libcrypto, about 3.5 MiB of resident memory in
@@ -47,7 +47,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-__all__ = ["SweepSpec", "RunManifest", "ConfigError", "parse_config", "run", "main"]
+__all__ = ["SweepSpec", "ConfigError", "parse_config", "run", "main"]
 
 STDOUT_MARKER = "-"
 
@@ -76,24 +76,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepSpec:
+    """One run: a target, raw parameter overrides, an optional sweep and the
+    output. Fields may be changed after parse_config; run validates the spec
+    as it stands when it is called."""
+
     target: str
     parameter_overrides: dict = field(default_factory=dict)
     sweep_key: str | None = None
     sweep_range: tuple[float, float, int] | None = None
     output_format: str = "csv"
     output_path: str = STDOUT_MARKER
-    # Set by parse_config to the typed map it validated; run() uses it, so
-    # parse a new config to change the parameters of a parsed spec.
-    resolved: dict | None = field(default=None, init=False, repr=False,
-                                  compare=False)
-
-
-@dataclass
-class RunManifest:
-    tool_version: str
-    timestamp: str
-    resolved_parameters: dict
-    input_hash: str
 
 
 @dataclass
@@ -102,7 +94,6 @@ class _RunState:
 
     output_format: str
     files: dict = field(default_factory=dict)  # path -> text; dumps come first
-    shared: Any = None  # built by a target's first point for the later ones
 
 
 @dataclass(frozen=True)
@@ -126,26 +117,18 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ConfigError(f"sweep_range must be start,stop,steps; got {text!r}")
     try:
-        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad sweep_range {text!r}: {exc}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"sweep_range start and stop must be finite; got {text!r}")
-    if steps < 1:
-        raise ConfigError("sweep_range steps must be >= 1")
-    if steps > MAX_SWEEP_STEPS:
-        raise ConfigError(
-            f"sweep_range steps must be <= {MAX_SWEEP_STEPS}; got {steps}")
-    if start > stop:
-        raise ConfigError("sweep_range start must be <= stop")
-    return start, stop, steps
 
 
 def parse_config(text: str) -> SweepSpec:
     """Parse a flat key=value config into a SweepSpec.
 
     The target key is required; parameter keys are validated against the
-    target's schema and unknown keys are rejected with the valid list.
+    target's schema and unknown keys are rejected with the valid list. The
+    spec keeps the raw override texts, and run validates it again as it
+    stands when it is called.
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,9 +143,6 @@ def parse_config(text: str) -> SweepSpec:
     target = pairs.pop("target", None)
     if target is None:
         raise ConfigError("target is required")
-    if target not in _TARGETS:
-        raise ConfigError(
-            f"unknown target {target!r}; valid targets: {sorted(_TARGETS)}")
 
     spec = SweepSpec(target=target)
     if "format" in pairs:
@@ -174,12 +154,27 @@ def parse_config(text: str) -> SweepSpec:
     if "sweep_range" in pairs:
         spec.sweep_range = _parse_sweep_range(pairs.pop("sweep_range"))
     spec.parameter_overrides = pairs
-    spec.resolved = _resolve(spec)  # fail fast on unknown keys or bad values
+    _resolve(spec)  # fail fast on unknown keys or bad values
     return spec
 
 
 def _resolve(spec: SweepSpec) -> dict:
     """Full resolved parameter map (defaults plus overrides), typed."""
+    if spec.target not in _TARGETS:
+        raise ConfigError(
+            f"unknown target {spec.target!r}; valid targets: {sorted(_TARGETS)}")
+    if spec.sweep_range is not None:
+        start, stop, steps = spec.sweep_range
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(
+                f"sweep_range start and stop must be finite; got {start!r}, {stop!r}")
+        if steps < 1:
+            raise ConfigError("sweep_range steps must be >= 1")
+        if steps > MAX_SWEEP_STEPS:
+            raise ConfigError(
+                f"sweep_range steps must be <= {MAX_SWEEP_STEPS}; got {steps}")
+        if start > stop:
+            raise ConfigError("sweep_range start must be <= stop")
     target = _TARGETS[spec.target]
     schema = target.schema
     resolved = {key: default for key, (_, default, _) in schema.items()}
@@ -220,6 +215,16 @@ def _resolve(spec: SweepSpec) -> dict:
         if spec.sweep_range is None:
             raise ConfigError("sweep_key requires sweep_range")
     return resolved
+
+
+def _choice(*values: str) -> Callable[[str], str]:
+    """A schema caster for these words only, named after them for --help."""
+    def caster(raw: str) -> str:
+        if raw not in values:
+            raise ValueError(raw)
+        return raw
+    caster.__name__ = "|".join(values)
+    return caster
 
 
 def _sweep_values(spec: SweepSpec) -> list[float]:
@@ -286,9 +291,6 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
 
 
 def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
-    kind = resolved["potential"]
-    if kind not in ("quartic", "harmonic"):
-        raise ConfigError("potential must be quartic or harmonic")
     p = ChannelPotentialParams(
         m_eff=resolved["m_eff"], omega=resolved["omega"], a=resolved["a"],
         coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
@@ -297,7 +299,7 @@ def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
     cfg = QlmConfig(g=g, grid=default_qlm_grid(g, resolved["n_points"]),
                     max_iterations=resolved["iterations"])
     potential = None
-    if kind == "harmonic":
+    if resolved["potential"] == "harmonic":
         potential = lambda y: harmonic_reference_potential(p, y)
     iterates = qlm_spectrum(p, cfg, potential=potential)
     dump = resolved["dump_l"]
@@ -333,16 +335,21 @@ def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
     return columns, [row], report.to_json_dict()
 
 
+@functools.cache
+def _gate_constants() -> tuple:
+    """The Bell states and the alpha-independent columns of a gates row,
+    computed on the first call in a process. Callers only read them."""
+    bells = [bell_state(label) for label in BELL_LABELS]
+    _, cnot = cnot_from_sqrt_swap()
+    s = 1.0 / math.sqrt(2.0)
+    plus_control = TwoQubitState(np.array([s, 0, s, 0], dtype=complex))
+    return bells, (gate_fidelity(cnot, Gate4(CNOT)),
+                   concurrence(apply(cnot, plus_control)),
+                   min(concurrence(b) for b in bells))
+
+
 def _gate_point(resolved: dict, state: _RunState) -> list[tuple]:
-    if state.shared is None:  # the Bell states and alpha-independent columns
-        bells = [bell_state(label) for label in BELL_LABELS]
-        _, cnot = cnot_from_sqrt_swap()
-        s = 1.0 / math.sqrt(2.0)
-        plus_control = TwoQubitState(np.array([s, 0, s, 0], dtype=complex))
-        state.shared = bells, (gate_fidelity(cnot, Gate4(CNOT)),
-                               concurrence(apply(cnot, plus_control)),
-                               min(concurrence(b) for b in bells))
-    bells, alpha_independent = state.shared
+    bells, alpha_independent = _gate_constants()
     alpha = resolved["alpha"]
     u = u_swap_alpha(alpha)
     dump = resolved["dump_matrix"]
@@ -405,7 +412,8 @@ _TARGETS = {
             "coulomb_k": (float, 0.0, "screened Coulomb strength"),
             "fermi_l": (float, 1.0, "Fermi length"),
             "include_vc": (int, 0, "1 to add the screened Coulomb term"),
-            "potential": (str, "quartic", "quartic | harmonic (validation preset)"),
+            "potential": (_choice("quartic", "harmonic"), "quartic",
+                          "channel potential; harmonic is the validation preset"),
             "g": (float, 0.0, "zero-iterate slope; 0 means m_eff * omega"),
             "n_points": (int, 4001, "grid points on the half line"),
             "iterations": (int, 3, "quasilinearization iterations"),
@@ -427,7 +435,8 @@ _TARGETS = {
             "alpha_r": (float, 0.2, "Rashba strength"),
             "coulomb_k": (float, 0.0, "screened Coulomb strength"),
             "fermi_l": (float, 1.0, "Fermi length"),
-            "wave_direction": (str, "along_y", "along_y | along_x"),
+            "wave_direction": (_choice(ALONG_Y, ALONG_X), ALONG_Y,
+                               "direction of the plane wave"),
         },
         sweepable=("omega", "k", "alpha_r", "coulomb_k", "lambda"),
         aliases={"lam": "lambda"},
@@ -454,30 +463,23 @@ _TARGETS = {
 }
 
 
-def _canonical_text(spec: SweepSpec, resolved: dict) -> str:
-    items = {"target": spec.target, "format": spec.output_format}
+def _manifest(spec: SweepSpec, resolved: dict) -> dict:
+    """The sidecar's fields, keys in sorted order. resolved_parameters holds
+    every config key of the run as text, sorted, and input_hash is the
+    SHA-256 of its key=value lines: re-fed as a config, it is the same run."""
+    params = {"target": spec.target, "format": spec.output_format}
     if spec.sweep_key:
-        items["sweep_key"] = spec.sweep_key
         start, stop, steps = spec.sweep_range
-        items["sweep_range"] = f"{_fmt(start)},{_fmt(stop)},{steps}"
-    for key in sorted(resolved):
-        value = resolved[key]
-        items[key] = _fmt(value) if isinstance(value, (int, float)) else str(value)
-    return "".join(f"{k}={v}\n" for k, v in sorted(items.items()))
-
-
-def _make_manifest(spec: SweepSpec, resolved: dict) -> RunManifest:
-    text = _canonical_text(spec, resolved)
-    params = {}
-    for line in text.splitlines():
-        key, value = line.split("=", 1)
-        params[key] = value
-    return RunManifest(
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        resolved_parameters=params,
-        input_hash=sha256(text.encode("utf-8")).hexdigest(),
-    )
+        params["sweep_key"] = spec.sweep_key
+        params["sweep_range"] = f"{_fmt(start)},{_fmt(stop)},{steps}"
+    for key, value in resolved.items():
+        params[key] = _fmt(value) if isinstance(value, (int, float)) else str(value)
+    params = dict(sorted(params.items()))
+    text = "".join(f"{k}={v}\n" for k, v in params.items())
+    return {"input_hash": sha256(text.encode("utf-8")).hexdigest(),
+            "resolved_parameters": params,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "tool_version": __version__}
 
 
 def _emit_json_value(v) -> str:
@@ -497,27 +499,14 @@ def _render_csv(columns, rows) -> str:
     return "\n".join([",".join(columns)] + _format_rows(rows)) + "\n"
 
 
-def _render_json(manifest: RunManifest, columns, rows, report=None) -> str:
-    manifest_obj = {
-        "input_hash": manifest.input_hash,
-        "resolved_parameters": dict(sorted(manifest.resolved_parameters.items())),
-        "tool_version": manifest.tool_version,
-    }
+def _render_json(manifest: dict, columns, rows, report=None) -> str:
+    # The timestamp stays in the sidecar, so identical runs render alike.
+    manifest_obj = {k: v for k, v in manifest.items() if k != "timestamp"}
     if report is not None:
         return _emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"
     rows_text = ", ".join(_format_rows(rows, as_json=True))
     return (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
             f'"columns": {_emit_json_value(list(columns))}, "rows": [{rows_text}]}}\n')
-
-
-def _sidecar_text(manifest: RunManifest) -> str:
-    sidecar = {
-        "input_hash": manifest.input_hash,
-        "resolved_parameters": manifest.resolved_parameters,
-        "timestamp": manifest.timestamp,
-        "tool_version": manifest.tool_version,
-    }
-    return json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
 
 
 def _write_files(files: dict) -> None:
@@ -546,13 +535,15 @@ def _write_files(files: dict) -> None:
 def run(spec: SweepSpec) -> int:
     """Execute a spec: compute the table, then write output plus manifest.
 
-    Nothing is written on failure; errors go to stderr with the target named.
+    The spec is validated as it stands when run is called, so a spec changed
+    after parse_config runs as changed or fails as a config error. Nothing
+    is written on failure; errors go to stderr with the target named.
     """
-    target = _TARGETS[spec.target]
     key = spec.sweep_key
     state = _RunState(spec.output_format)
     try:
-        resolved = spec.resolved if spec.resolved is not None else _resolve(spec)
+        resolved = _resolve(spec)
+        target = _TARGETS[spec.target]
         if key is None and target.single is not None:
             columns, rows, report = target.single(resolved, state)
         elif key is None:
@@ -574,12 +565,12 @@ def run(spec: SweepSpec) -> int:
     except Exception as exc:  # computation failure inside a module
         sys.stderr.write(f"{spec.target}: computation failed: {exc}\n")
         return 1
-    manifest = _make_manifest(spec, resolved)
+    manifest = _manifest(spec, resolved)
     if spec.output_format == "json":
         primary = _render_json(manifest, columns, rows, report=report)
     else:
         primary = _render_csv(columns, rows)
-    sidecar = _sidecar_text(manifest)
+    sidecar = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     if spec.output_path != STDOUT_MARKER:
         state.files[spec.output_path] = primary
         state.files[spec.output_path + ".manifest.json"] = sidecar

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "DomainError",
+    "check_domain",
     "QuadratureError",
     "integrate",
     "erfcx",
@@ -37,6 +38,19 @@ class DomainError(ValueError):
     def __init__(self, name: str, message: str):
         super().__init__(message)
         self.name = name
+
+
+def check_domain(params, positive=(), non_negative=()) -> None:
+    """Raise DomainError for the first of the named fields of params that is
+    not positive, then for the first of the others that is negative."""
+    for name in positive:
+        if getattr(params, name) <= 0:
+            raise DomainError(
+                name, f"{name} must be positive, got {getattr(params, name)}")
+    for name in non_negative:
+        if getattr(params, name) < 0:
+            raise DomainError(
+                name, f"{name} must be non-negative, got {getattr(params, name)}")
 
 
 class QuadratureError(RuntimeError):

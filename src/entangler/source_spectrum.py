@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, eigen_small
+from .numerics import DomainError, Grid1D, check_domain, eigen_small
 
 __all__ = [
     "SourceParams",
@@ -54,14 +54,9 @@ class SourceParams:
     reg_delta: float = 1e-3
 
     def __post_init__(self):
-        for name in ("m_eff", "omega", "r_coulomb", "l_x", "reg_delta"):
-            if getattr(self, name) <= 0:
-                raise DomainError(
-                    name, f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("beta", "alpha_r"):
-            if getattr(self, name) < 0:
-                raise DomainError(
-                    name, f"{name} must be non-negative, got {getattr(self, name)}")
+        check_domain(self,
+                     positive=("m_eff", "omega", "r_coulomb", "l_x", "reg_delta"),
+                     non_negative=("beta", "alpha_r"))
         if self.reg_delta >= self.l_x / 10.0:
             raise DomainError(
                 "reg_delta", f"reg_delta = {self.reg_delta} must be below "

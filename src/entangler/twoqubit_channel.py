@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError, EigenSystem, eigen_small, is_hermitian
+from .numerics import (DomainError, EigenSystem, check_domain, eigen_small,
+                       is_hermitian)
 
 __all__ = [
     "ALONG_X",
@@ -62,14 +63,8 @@ class TwoQubitParams:
     wave_direction: str = ALONG_Y
 
     def __post_init__(self):
-        for name in ("m_eff", "omega", "a_b", "lam", "fermi_l"):
-            if getattr(self, name) <= 0:
-                raise DomainError(
-                    name, f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("alpha_r", "coulomb_k"):
-            if getattr(self, name) < 0:
-                raise DomainError(
-                    name, f"{name} must be non-negative, got {getattr(self, name)}")
+        check_domain(self, positive=("m_eff", "omega", "a_b", "lam", "fermi_l"),
+                     non_negative=("alpha_r", "coulomb_k"))
         if self.wave_direction not in (ALONG_Y, ALONG_X):
             raise DomainError("wave_direction",
                               f"wave_direction must be {ALONG_Y!r} or {ALONG_X!r}")

@@ -77,6 +77,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep_range"):
             parse_config(f"{base}{MAX_SWEEP_STEPS + 1}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("target=channel_qlm\npotential=cubic",
+         "bad value 'cubic' for key 'potential' (expected quartic|harmonic)"),
+        ("target=twoqubit_eigen\nwave_direction=diag",
+         "bad value 'diag' for key 'wave_direction' (expected along_y|along_x)"),
+    ])
+    def test_unknown_choice(self, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
     def test_chart_points_cap(self):
         base = "target=source_delta_e\nx_count=1000\ny_points="
         rows = MAX_CHART_POINTS // 1000
@@ -133,6 +144,38 @@ class TestRun:
         canonical = "".join(f"{k}={v}\n" for k, v in sorted(params.items()))
         assert manifest["input_hash"] == hashlib.sha256(
             canonical.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("change, code, message", [
+        ({"output_format": "xml"}, 2, "format must be csv or json"),
+        ({"parameter_overrides": {"alpha": "2.0"}}, 0, ""),
+        ({"sweep_key": "dump_matrix", "sweep_range": (0.0, 1.0, 2)}, 2,
+         "sweep_key 'dump_matrix' not valid"),
+        ({"target": "warp_drive"}, 2, "unknown target 'warp_drive'"),
+        ({"sweep_key": "alpha", "sweep_range": (0.0, 1.0, MAX_SWEEP_STEPS + 1)},
+         2, "sweep_range steps"),
+    ])
+    def test_spec_changed_after_parse(self, tmp_path, monkeypatch, capsys,
+                                      change, code, message):
+        """run takes the spec as it stands when called, not as parse_config
+        saw it: a change runs as changed or exits 2, and a failing run
+        leaves no file, temporary or not, anywhere."""
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        spec = parse_config("target=gate_check\nalpha=1.0\ndump_matrix=m.csv")
+        spec.output_path = str(tmp_path / "out.csv")
+        for name, value in change.items():
+            if isinstance(value, dict):
+                getattr(spec, name).update(value)  # in place
+            else:
+                setattr(spec, name, value)
+        assert run(spec) == code
+        assert message in capsys.readouterr().err
+        if code == 0:
+            assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith("2,")
+            assert sorted(os.listdir(cwd)) == ["m.csv"]
+        else:
+            assert list(tmp_path.rglob("*")) == [cwd]
 
     def test_twoqubit_json_report_fields(self, tmp_path):
         out = tmp_path / "report.json"
@@ -439,10 +482,10 @@ def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
             else:
                 manifest, columns, rows = table_args
                 head = {"manifest": {
-                    "input_hash": manifest.input_hash,
+                    "input_hash": manifest["input_hash"],
                     "resolved_parameters": dict(sorted(
-                        manifest.resolved_parameters.items())),
-                    "tool_version": manifest.tool_version}}
+                        manifest["resolved_parameters"].items())),
+                    "tool_version": manifest["tool_version"]}}
                 if kwargs.get("report") is not None:
                     payload = {**head, "report": kwargs["report"]}
                     rows = []

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entangler.numerics import (Grid1D, QuadratureError, eigen_small, erfcx,
-                                integrate, is_hermitian)
+from entangler.numerics import (DomainError, Grid1D, QuadratureError,
+                                check_domain, eigen_small, erfcx, integrate,
+                                is_hermitian)
 from fd_oracle import fd_schrodinger_oracle
 
 # Oracle constants, computed independently before the build:
@@ -234,3 +236,22 @@ class TestGrid1D:
             Grid1D(1.0, 0.0, 5)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 2)
+
+
+class TestCheckDomain:
+    @pytest.mark.parametrize("values, name, message", [
+        (dict(a=1.0, b=-0.0, c=-1.0, d=-2.0), "b", "b must be positive, got -0.0"),
+        (dict(a=1.0, b=1.0, c=-1.0, d=-2.0), "c", "c must be non-negative, got -1.0"),
+        (dict(a=math.nan, b=1.0, c=0.0, d=-2.5), "d", "d must be non-negative, got -2.5"),
+    ])
+    def test_first_failing_field_in_order(self, values, name, message):
+        """Positive fields first, each group in the order given; NaN passes,
+        as every comparison with it is false."""
+        with pytest.raises(DomainError) as exc:
+            check_domain(SimpleNamespace(**values), positive=("a", "b"),
+                         non_negative=("c", "d"))
+        assert (exc.value.name, str(exc.value)) == (name, message)
+
+    def test_in_domain_passes(self):
+        check_domain(SimpleNamespace(a=1e-300, c=0.0),
+                     positive=("a",), non_negative=("c",))
