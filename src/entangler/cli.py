@@ -16,6 +16,8 @@ import argparse
 import functools
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -31,9 +33,9 @@ from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
                     apply, bell_state, cnot_from_sqrt_swap, concurrence,
                     exchange_evolution_expm, gate_fidelity, matrix_rows,
                     u_swap_alpha)
-from .numerics import DomainError, Grid1D
+from .numerics import DomainError, Grid1D, eigen_small
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
-from .twoqubit_channel import (ALONG_X, ALONG_Y, EigenReport, TwoQubitParams,
+from .twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitMatrix, TwoQubitParams,
                                build_matrix, claimed_vs_numeric, expectations)
 
 # CPython's own SHA-256, as random.py takes its own SHA-512: importing
@@ -99,8 +101,8 @@ class _RunState:
 @dataclass(frozen=True)
 class _Target:
     """Everything the CLI knows about one target. A point maps one resolved
-    dict to its rows; a single run that is not one point returns (columns,
-    rows, report), and a report is the JSON output in place of the table."""
+    dict to its rows; a single run that is not one point returns (rows,
+    report), and a report is the JSON output in place of the table."""
 
     command: str
     schema: dict[str, tuple]  # key -> (parser, default, help)
@@ -109,7 +111,7 @@ class _Target:
     columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
     point: Callable[[dict, _RunState], list[tuple]]
     single: Callable[[dict, _RunState], tuple] | None = None
-    single_columns: tuple[str, ...] | None = None  # fixed ones, for --help
+    single_columns: tuple[str, ...] | None = None  # of single's rows
 
 
 def _parse_sweep_range(text: str) -> tuple[float, float, int]:
@@ -164,7 +166,15 @@ def _resolve(spec: SweepSpec) -> dict:
         raise ConfigError(
             f"unknown target {spec.target!r}; valid targets: {sorted(_TARGETS)}")
     if spec.sweep_range is not None:
-        start, stop, steps = spec.sweep_range
+        try:
+            start, stop, steps = spec.sweep_range
+            steps = operator.index(steps)
+            if not (isinstance(start, numbers.Real) and isinstance(stop, numbers.Real)):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "sweep_range must be (start, stop, steps) with real start and "
+                f"stop and integer steps; got {spec.sweep_range!r}") from None
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(
                 f"sweep_range start and stop must be finite; got {start!r}, {stop!r}")
@@ -287,7 +297,7 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     n = resolved["x_count"]
     x_values = [p.l_x * (i + 1) / (n + 1) for i in range(n)]
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
-    return _CHART_COLUMNS, chart_delta_e(p, x_values, grid), None
+    return chart_delta_e(p, x_values, grid), None
 
 
 def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
@@ -309,30 +319,28 @@ def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
     return [(it.n, it.e_n) for it in iterates]
 
 
-def _twoqubit_report(resolved: dict) -> EigenReport:
+def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
     p = TwoQubitParams(
         m_eff=resolved["m_eff"], omega=resolved["omega"], a_b=resolved["a_b"],
         lam=resolved["lambda"], k=resolved["k"], alpha_r=resolved["alpha_r"],
         coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
         wave_direction=resolved["wave_direction"])
-    return claimed_vs_numeric(build_matrix(*expectations(p)))
+    return build_matrix(*expectations(p))
 
 
 def _twoqubit_point(resolved: dict, state: _RunState) -> list[tuple]:
-    report = _twoqubit_report(resolved)
-    hr, ev = report.hr, report.numeric.eigenvalues
-    return [(report.h0, hr.real, hr.imag, ev[0].real, ev[0].imag, ev[1].real,
+    m = _twoqubit_matrix(resolved)
+    hr, ev = m.hr, eigen_small(m.matrix).eigenvalues
+    return [(m.h0, hr.real, hr.imag, ev[0].real, ev[0].imag, ev[1].real,
              ev[1].imag, ev[2].real, ev[2].imag, ev[3].real, ev[3].imag)]
 
 
 def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
-    report = _twoqubit_report(resolved)
-    columns = ("h0", "hr_re", "hr_im", "max_residual",
-               "eigenvalue_set_distance", "hermitian", "degenerate")
+    report = claimed_vs_numeric(_twoqubit_matrix(resolved))
     row = (report.h0, report.hr.real, report.hr.imag,
            max(report.claimed_residuals), report.eigenvalue_set_distance,
            report.hermitian, report.degenerate)
-    return columns, [row], report.to_json_dict()
+    return [row], report.to_json_dict()
 
 
 @functools.cache
@@ -444,6 +452,8 @@ _TARGETS = {
                  "e3_re", "e3_im", "e4_re", "e4_im"),
         point=_twoqubit_point,
         single=_twoqubit_single,
+        single_columns=("h0", "hr_re", "hr_im", "max_residual",
+                        "eigenvalue_set_distance", "hermitian", "degenerate"),
     ),
     TARGET_GATES: _Target(
         command="gates",
@@ -545,7 +555,8 @@ def run(spec: SweepSpec) -> int:
         resolved = _resolve(spec)
         target = _TARGETS[spec.target]
         if key is None and target.single is not None:
-            columns, rows, report = target.single(resolved, state)
+            columns = target.single_columns
+            rows, report = target.single(resolved, state)
         elif key is None:
             columns, rows, report = target.columns, target.point(resolved, state), None
         else:
@@ -592,9 +603,10 @@ def _schema_help(name: str) -> str:
     for key, (caster, default, help_text) in target.schema.items():
         lines.append(f"  {key} ({caster.__name__}, default {default!r}): {help_text}")
     lines.append(f"sweepable keys: {', '.join(target.sweepable)}")
-    listed = target.columns if target.single is None else target.single_columns
-    if listed:
-        lines.append(f"csv columns: {', '.join(listed)}")
+    single = target.columns if target.single is None else target.single_columns
+    lines.append(f"csv columns: {', '.join(single)}")
+    lead = () if target.sweepable[0] in target.columns else ("<sweep_key>",)
+    lines.append(f"sweep csv columns: {', '.join(lead + target.columns)}")
     return "\n".join(lines)
 
 
@@ -637,6 +649,12 @@ def main(argv=None) -> int:
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
+            # The pairs are joined into config text, where these would cut
+            # the value or start a line of their own.
+            if "#" in override or override.splitlines() != [override]:
+                raise ConfigError(
+                    f"--set value for key {override.split('=', 1)[0].strip()!r} "
+                    f"may not hold '#' or a line break, got {override!r}")
         # The subcommand's target goes first, so a target line in the config
         # or a --set replaces it and is caught as a conflict below.
         spec = parse_config("\n".join([f"target={args.target}", text, *args.set]))

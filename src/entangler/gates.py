@@ -29,7 +29,6 @@ __all__ = [
     "CHANNEL",
     "TwoQubitState",
     "Gate4",
-    "ExchangePulse",
     "bell_state",
     "u_swap_alpha",
     "exchange_evolution",
@@ -73,9 +72,6 @@ class TwoQubitState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "TwoQubitState":
-        return TwoQubitState(self.amplitudes / self.norm)
-
 
 @dataclass(frozen=True)
 class Gate4:
@@ -95,18 +91,6 @@ class Gate4:
         return Gate4(self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
-class ExchangePulse:
-    """Integrated exchange angle alpha = int J(t) dt (hbar = 1)."""
-
-    alpha: float
-    description: str = ""
-
-
-def _alpha_of(pulse) -> float:
-    return float(pulse.alpha) if isinstance(pulse, ExchangePulse) else float(pulse)
-
-
 def bell_state(which: str) -> TwoQubitState:
     """One of the four Bell states by label."""
     s = 1.0 / math.sqrt(2.0)
@@ -121,10 +105,11 @@ def bell_state(which: str) -> TwoQubitState:
     return TwoQubitState(np.array(table[which], dtype=complex))
 
 
-def u_swap_alpha(pulse) -> Gate4:
+def u_swap_alpha(alpha: float) -> Gate4:
     """Exchange gate family: identity on the triplet sector, phase e^{i a}
-    on the singlet. alpha = pi gives SWAP, alpha = pi/2 gives sqrt(SWAP)."""
-    a = _alpha_of(pulse)
+    on the singlet. alpha is the integrated exchange angle int J(t) dt
+    (hbar = 1): alpha = pi gives SWAP, alpha = pi/2 gives sqrt(SWAP)."""
+    a = float(alpha)
     c1 = 0.5 * (1.0 + cmath.exp(1j * a))
     c2 = 0.5 * (1.0 - cmath.exp(1j * a))
     return Gate4(np.array(
@@ -139,21 +124,21 @@ def spin_dot_operator() -> np.ndarray:
     return (np.kron(_SX, _SX) + np.kron(_SY, _SY) + np.kron(_SZ, _SZ)) / 4.0
 
 
-def exchange_evolution(pulse) -> Gate4:
+def exchange_evolution(alpha: float) -> Gate4:
     """exp(-i alpha S_s.S_c) by the closed form; equals u_swap_alpha(alpha)
     times the global phase e^{-i alpha/4}."""
-    a = _alpha_of(pulse)
+    a = float(alpha)
     m = cmath.exp(0.25j * a) * (math.cos(0.5 * a) * np.eye(4)
                                 - 1j * math.sin(0.5 * a) * SWAP)
     return Gate4(m)
 
 
-def exchange_evolution_expm(pulse) -> Gate4:
+def exchange_evolution_expm(alpha: float) -> Gate4:
     """Same operator as a matrix exponential, V diag(exp(-i alpha w)) V^dag
     from the eigen decomposition of S_s.S_c: a numeric cross-check that
     does not use the SWAP identity behind the closed form."""
     w, v = _spin_dot_eigh()
-    phases = np.exp(-1j * _alpha_of(pulse) * w)
+    phases = np.exp(-1j * float(alpha) * w)
     return Gate4((v * phases) @ v.conj().T)
 
 

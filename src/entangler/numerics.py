@@ -227,7 +227,8 @@ def eigen_small(m: Sequence[Sequence[complex]] | np.ndarray) -> EigenSystem:
     return EigenSystem(vals, vecs, residuals, defective)
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """m == m^dagger within 1e-12 * max(1, max |m_ij|)."""
     a = np.asarray(m, dtype=complex)
     scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.abs(a - a.conj().T).max() <= tol * scale)
+    return bool(np.abs(a - a.conj().T).max() <= 1e-12 * scale)

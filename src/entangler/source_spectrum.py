@@ -75,12 +75,6 @@ class HMatrix2:
     def to_array(self) -> np.ndarray:
         return np.array([[self.h11, self.h12], [self.h21, self.h22]], dtype=complex)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        scale = max(1.0, abs(self.h11), abs(self.h12), abs(self.h21), abs(self.h22))
-        return (abs(self.h21 - self.h12.conjugate()) <= tol * scale
-                and abs(self.h11.imag) <= tol * scale
-                and abs(self.h22.imag) <= tol * scale)
-
 
 @dataclass(frozen=True)
 class SpinSplitResult:

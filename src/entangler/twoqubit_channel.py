@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "expectations",
     "build_matrix",
     "claimed_vs_numeric",
-    "exchange_strength",
 ]
 
 ALONG_Y = "along_y"
@@ -142,12 +141,11 @@ class EigenReport:
     h0: float
     hr: complex
     claimed_eigenvalues: list[complex]
-    claimed_eigenvectors: list[np.ndarray]
     claimed_residuals: list[float]
     numeric: EigenSystem
     hermitian: bool
     degenerate: bool
-    eigenvalue_set_distance: float = field(default=0.0)
+    eigenvalue_set_distance: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,15 +208,9 @@ def claimed_vs_numeric(m: TwoQubitMatrix) -> EigenReport:
         h0=m.h0,
         hr=m.hr,
         claimed_eigenvalues=[complex(v) for v in vals],
-        claimed_eigenvectors=vecs,
         claimed_residuals=residuals,
         numeric=numeric,
         hermitian=is_hermitian(a),
         degenerate=degenerate,
         eigenvalue_set_distance=float(max(forward, backward)),
     )
-
-
-def exchange_strength(e_triplet_low: float, e_singlet_high: float) -> float:
-    """Exchange constant as the lowest-triplet minus highest-singlet energy."""
-    return float(e_triplet_low) - float(e_singlet_high)

@@ -16,6 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
                            SweepSpec, main, parse_config, run)
+from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
+                                        claimed_vs_numeric, expectations)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,6 +155,12 @@ class TestRun:
         ({"target": "warp_drive"}, 2, "unknown target 'warp_drive'"),
         ({"sweep_key": "alpha", "sweep_range": (0.0, 1.0, MAX_SWEEP_STEPS + 1)},
          2, "sweep_range steps"),
+        ({"sweep_key": "alpha", "sweep_range": (0.0, 1.0, 2.5)}, 2,
+         "sweep_range must be (start, stop, steps)"),
+        ({"sweep_key": "alpha", "sweep_range": (0.0, 1.0)}, 2,
+         "sweep_range must be (start, stop, steps)"),
+        ({"sweep_key": "alpha", "sweep_range": ("0", "1", 3)}, 2,
+         "sweep_range must be (start, stop, steps)"),
     ])
     def test_spec_changed_after_parse(self, tmp_path, monkeypatch, capsys,
                                       change, code, message):
@@ -197,6 +205,38 @@ class TestRun:
         closed = (1.0 / (4.0 * 1.40 ** 2) + 0.5 + 3.0 / 32.0
                   + math.sqrt(math.pi / 2.0) * 0.7 / math.sqrt(1.0 - 1.40 ** 2 / 2.0))
         assert h0 == pytest.approx(closed, rel=1e-15)
+
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"wave_direction": "along_x"},
+        {"coulomb_k": 0.3, "lambda": 0.8},
+        {"coulomb_k": 0.7, "lambda": 1.2, "alpha_r": 4.0},  # |hr| >= h0
+    ])
+    def test_twoqubit_sweep_row_is_report_spectrum(self, tmp_path, monkeypatch,
+                                                   settings):
+        """A one-step twoqubit sweep row holds, bit for bit, h0, hr and the
+        numeric eigenvalues of the claimed-vs-numeric report, which a sweep
+        point does not build."""
+        def unused(m):
+            raise AssertionError("a sweep point built the eigen report")
+        monkeypatch.setattr(cli, "claimed_vs_numeric", unused)
+        out = tmp_path / "k.csv"
+        spec = parse_config("target=twoqubit_eigen\nsweep_key=k\n"
+                            "sweep_range=0.7,0.7,1\n"
+                            + "".join(f"{k}={v}\n" for k, v in settings.items()))
+        spec.output_path = str(out)
+        assert run(spec) == 0
+        row = [float(v) for v in out.read_text().splitlines()[1].split(",")]
+        p = TwoQubitParams(
+            m_eff=1.0, omega=1.0, a_b=1.0, lam=settings.get("lambda", 1.0),
+            k=0.7, alpha_r=settings.get("alpha_r", 0.2),
+            coulomb_k=settings.get("coulomb_k", 0.0), fermi_l=1.0,
+            wave_direction=settings.get("wave_direction", "along_y"))
+        report = claimed_vs_numeric(build_matrix(*expectations(p)))
+        expected = [0.7, report.h0, report.hr.real, report.hr.imag]
+        for e in report.numeric.eigenvalues:
+            expected += [e.real, e.imag]
+        assert row == expected
 
     def test_channel_dump_l(self, tmp_path):
         dump = tmp_path / "l.csv"
@@ -269,6 +309,38 @@ class TestMain:
                    "--set", "sweep_range=0,1,2", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "dump_matrix=m#1.csv", "dump_matrix=m.csv\nalpha=2", "alpha=2\r"])
+    def test_set_value_with_hash_or_line_break_exits_two(
+            self, tmp_path, monkeypatch, capsys, setting):
+        # joined into config text, the value would be cut at the '#' or run
+        # on into a line of its own
+        monkeypatch.chdir(tmp_path)
+        assert main(["gates", "--set", setting, "--out", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err and "'#' or a line break" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(cli._TARGETS))
+    def test_help_lists_csv_columns(self, tmp_path, capsys, name):
+        """--help names the CSV header of a default run and of a sweep."""
+        target = cli._TARGETS[name]
+        with pytest.raises(SystemExit):
+            main([target.command, "--help"])
+        help_lines = capsys.readouterr().out.splitlines()
+        key = target.sweepable[0]
+        default = target.schema[key][1]
+        headers = []
+        for extra in ([], ["--set", f"sweep_key={key}",
+                           "--set", f"sweep_range={default!r},{default!r},1"]):
+            out = tmp_path / f"{len(headers)}.csv"
+            assert main([target.command, *extra, "--out", str(out)]) == 0
+            headers.append(out.read_text().splitlines()[0].replace(",", ", "))
+        assert f"csv columns: {headers[0]}" in help_lines
+        sweep_line, = [line for line in help_lines
+                       if line.startswith("sweep csv columns: ")]
+        assert sweep_line.replace("<sweep_key>", key) == f"sweep csv columns: {headers[1]}"
 
     def test_missing_config_file(self, capsys):
         assert main(["gates", "--config", "/no/such/file.cfg"]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entangler.gates import (BELL_LABELS, CHANNEL, CNOT, SOURCE, SQRT_SWAP,
-                             SWAP, ExchangePulse, Gate4, TwoQubitState, apply,
+                             SWAP, Gate4, TwoQubitState, apply,
                              bell_state, cnot_from_sqrt_swap, concurrence,
                              exchange_evolution, exchange_evolution_expm,
                              gate_fidelity, global_phase, hadamard,
@@ -65,10 +65,6 @@ class TestUSwapAlpha:
         sq = u_swap_alpha(math.pi / 2)
         assert np.abs((sq @ sq).matrix - SWAP).max() <= 1e-13
         assert np.abs((Gate4(SWAP) @ Gate4(SWAP)).matrix - np.eye(4)).max() <= 1e-13
-
-    def test_accepts_pulse_object(self):
-        pulse = ExchangePulse(alpha=math.pi, description="full swap")
-        assert np.abs(u_swap_alpha(pulse).matrix - SWAP).max() <= 1e-13
 
     def test_matches_bell_projector_sum(self):
         for alpha in (0.0, 0.3, math.pi / 2, math.pi, 2.7, 4 * math.pi):

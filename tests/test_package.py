@@ -1,0 +1,15 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import entangler
+
+MODULES = ["entangler"] + [f"entangler.{m.name}"
+                           for m in pkgutil.iter_modules(entangler.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

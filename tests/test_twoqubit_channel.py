@@ -5,7 +5,7 @@ import pytest
 
 from entangler.twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitParams,
                                         _vc_expectation, build_matrix,
-                                        claimed_vs_numeric, exchange_strength,
+                                        claimed_vs_numeric,
                                         expectations)
 from entangler.channel_qlm import channel_potential, ChannelPotentialParams
 from entangler.numerics import Grid1D
@@ -160,18 +160,10 @@ class TestClaimedVsNumeric:
 
 
 class TestExchangeStrength:
-    def test_subtraction_contract(self):
-        assert exchange_strength(1.0, 0.4) == pytest.approx(0.6)
-
-    def test_zero_gap(self):
-        assert exchange_strength(1.3, 1.3) == 0.0
-
     def test_from_fd_channel_levels(self):
         # lowest two channel orbitals of the quartic well stand in for the
         # lowest triplet / highest singlet pair
         p = ChannelPotentialParams()
         levels = fd_schrodinger_oracle(lambda y: channel_potential(p, y),
                                        Grid1D(-10.0, 10.0, 4001), 1.0, 2)
-        j = exchange_strength(levels[1], levels[0])
-        assert j == pytest.approx(levels[1] - levels[0], abs=1e-15)
-        assert j == pytest.approx(0.637385, abs=5e-4)
+        assert levels[1] - levels[0] == pytest.approx(0.637385, abs=5e-4)
