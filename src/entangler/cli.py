@@ -13,6 +13,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -20,6 +21,7 @@ import numbers
 import operator
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable
@@ -224,6 +226,11 @@ def _resolve(spec: SweepSpec) -> dict:
                 f"valid: {list(target.sweepable)}")
         if spec.sweep_range is None:
             raise ConfigError("sweep_key requires sweep_range")
+    for key in ("dump_l", "dump_matrix"):
+        dump = resolved.get(key)
+        if dump and spec.output_path != STDOUT_MARKER and os.path.abspath(dump) in {
+                os.path.abspath(spec.output_path + end) for end in ("", ".manifest.json")}:
+            raise ConfigError(f"{key} {dump!r} is the output or its manifest")
     return resolved
 
 
@@ -523,12 +530,15 @@ def _write_files(files: dict) -> None:
     """Write every path -> text entry, or none of them.
 
     Each text goes to a temp file beside its target, and the temps replace
-    their targets only once all of them are written. On failure the temps
-    are removed and the OSError is raised again, naming the target path.
+    their targets only once all of them are written; a directory is no
+    target. On failure the temps are removed and the OSError is raised
+    again, naming the target path.
     """
     temps = {}
     try:
         for path, text in files.items():
+            if os.path.isdir(path):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             tmp = f"{path}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "x", encoding="utf-8", newline="") as fh:
                 temps[path] = tmp
@@ -547,50 +557,59 @@ def run(spec: SweepSpec) -> int:
 
     The spec is validated as it stands when run is called, so a spec changed
     after parse_config runs as changed or fails as a config error. Nothing
-    is written on failure; errors go to stderr with the target named.
+    is written on failure; errors go to stderr with the target named. Each
+    distinct warning raised while computing goes once to the sidecar's
+    diagnostics, or to stderr after the error line when the run fails.
     """
     key = spec.sweep_key
     state = _RunState(spec.output_format)
-    try:
-        resolved = _resolve(spec)
-        target = _TARGETS[spec.target]
-        if key is None and target.single is not None:
-            columns = target.single_columns
-            rows, report = target.single(resolved, state)
-        elif key is None:
-            columns, rows, report = target.columns, target.point(resolved, state), None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            resolved = _resolve(spec)
+            target = _TARGETS[spec.target]
+            if key is None and target.single is not None:
+                columns = target.single_columns
+                rows, report = target.single(resolved, state)
+            elif key is None:
+                columns, rows, report = target.columns, target.point(resolved, state), None
+            else:
+                lead = key not in target.columns  # gates rows hold alpha already
+                columns = ((key,) if lead else ()) + target.columns
+                rows, report = [], None
+                for value in _sweep_values(spec):
+                    point_rows = target.point({**resolved, key: value}, state)
+                    rows += [(value,) + row for row in point_rows] if lead else point_rows
+        except ConfigError as exc:
+            failure = 2, f"config error: {exc}"
+        except DomainError as exc:
+            name = target.aliases.get(exc.name, exc.name)
+            failure = 2, f"config error: bad value for key {name!r}: {exc}"
+        except Exception as exc:  # computation failure inside a module
+            failure = 1, f"{spec.target}: computation failed: {exc}"
         else:
-            lead = key not in target.columns  # gates rows hold alpha already
-            columns = ((key,) if lead else ()) + target.columns
-            rows, report = [], None
-            for value in _sweep_values(spec):
-                point_rows = target.point({**resolved, key: value}, state)
-                rows += [(value,) + row for row in point_rows] if lead else point_rows
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except DomainError as exc:
-        name = target.aliases.get(exc.name, exc.name)
-        sys.stderr.write(f"config error: bad value for key {name!r}: {exc}\n")
-        return 2
-    except Exception as exc:  # computation failure inside a module
-        sys.stderr.write(f"{spec.target}: computation failed: {exc}\n")
-        return 1
-    manifest = _manifest(spec, resolved)
-    if spec.output_format == "json":
-        primary = _render_json(manifest, columns, rows, report=report)
-    else:
-        primary = _render_csv(columns, rows)
-    sidecar = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    if spec.output_path != STDOUT_MARKER:
-        state.files[spec.output_path] = primary
-        state.files[spec.output_path + ".manifest.json"] = sidecar
-    try:
-        _write_files(state.files)
-    except OSError as exc:
-        sys.stderr.write(f"{spec.target}: cannot write {exc.filename}: "
-                         f"{exc.strerror}\n")
-        return 2
+            failure = None
+    warned = list(dict.fromkeys(str(w.message) for w in caught))
+    if failure is None:
+        manifest = _manifest(spec, resolved)
+        if spec.output_format == "json":
+            primary = _render_json(manifest, columns, rows, report=report)
+        else:
+            primary = _render_csv(columns, rows)
+        if warned:
+            manifest["diagnostics"] = {"warnings": warned}
+        sidecar = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        if spec.output_path != STDOUT_MARKER:
+            state.files[spec.output_path] = primary
+            state.files[spec.output_path + ".manifest.json"] = sidecar
+        try:
+            _write_files(state.files)
+        except OSError as exc:
+            failure = 2, f"{spec.target}: cannot write {exc.filename}: {exc.strerror}"
+    if failure is not None:
+        code, line = failure
+        sys.stderr.write(line + "\n" + "".join(
+            f"{spec.target}: warning: {message}\n" for message in warned))
+        return code
     if spec.output_path == STDOUT_MARKER:
         sys.stdout.write(primary)
         sys.stderr.write(sidecar)

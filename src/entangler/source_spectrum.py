@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, check_domain, eigen_small
+from .numerics import DomainError, Grid1D, check_domain
 
 __all__ = [
     "SourceParams",
@@ -78,11 +78,11 @@ class HMatrix2:
 
 @dataclass(frozen=True)
 class SpinSplitResult:
+    """Spin-up and spin-down energies of the lead and their splitting."""
+
     e_up: float
     e_down: float
     delta_e: float
-    eigvec_up: np.ndarray
-    eigvec_down: np.ndarray
 
 
 def _transverse_density(p: SourceParams, x: float) -> float:
@@ -147,41 +147,21 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 
 
 def spin_split(h: HMatrix2) -> SpinSplitResult:
-    """Eigenvalue pair of the 2x2 matrix with the closed-form two-component
-    eigenvectors, reading the discriminant as (h11-h22)^2 + 4 h12 h21.
-
-    Degenerate matrices return the basis spinors; h21 = 0 with distinct
-    diagonal falls back to the dense solver since the closed form divides
-    by h21.
-    """
+    """Closed-form eigenvalue pair of the 2x2 matrix (energies only), reading
+    the discriminant as (h11-h22)^2 + 4 h12 h21. Below 1e-14 of the squared
+    matrix scale it is degenerate: both energies are the mean diagonal."""
     disc = (h.h11 - h.h22) ** 2 + 4.0 * h.h12 * h.h21
     scale = max(1.0, abs(h.h11), abs(h.h22), abs(h.h12), abs(h.h21)) ** 2
     if abs(disc) < _DEGENERATE_TOL * scale:
         e = 0.5 * (h.h11 + h.h22)
-        return SpinSplitResult(
-            e_up=e.real, e_down=e.real, delta_e=0.0,
-            eigvec_up=np.array([1.0, 0.0], dtype=complex),
-            eigvec_down=np.array([0.0, 1.0], dtype=complex),
-        )
+        return SpinSplitResult(e_up=e.real, e_down=e.real, delta_e=0.0)
     root = cmath.sqrt(disc)
     if root.real < 0 or (root.real == 0 and root.imag < 0):
         root = -root
     e_up = 0.5 * (h.h11 + h.h22 - root)
     e_down = 0.5 * (h.h11 + h.h22 + root)
-    if abs(h.h21) < _DEGENERATE_TOL * math.sqrt(scale):
-        sys = eigen_small(h.to_array())
-        vec_up, vec_down = sys.eigenvectors[:, 0], sys.eigenvectors[:, 1]
-    else:
-        vec_up = np.array([-(-h.h11 + h.h22 + root) / (2.0 * h.h21), 1.0],
-                          dtype=complex)
-        vec_down = np.array([-(-h.h11 + h.h22 - root) / (2.0 * h.h21), 1.0],
-                            dtype=complex)
-        vec_up = vec_up / np.linalg.norm(vec_up)
-        vec_down = vec_down / np.linalg.norm(vec_down)
-    return SpinSplitResult(
-        e_up=e_up.real, e_down=e_down.real, delta_e=(e_down - e_up).real,
-        eigvec_up=vec_up, eigvec_down=vec_down,
-    )
+    return SpinSplitResult(e_up=e_up.real, e_down=e_down.real,
+                           delta_e=(e_down - e_up).real)
 
 
 def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:

@@ -392,13 +392,38 @@ class TestMain:
         (["gates", "--set", "dump_matrix=P"], "missing/x.csv", "missing/x.csv"),
         (["channel", "--set", "n_points=201", "--set", "dump_l=missing/l.csv"],
          "x.csv", "missing/l.csv"),
+        # --out names a directory: refused before the dump is renamed into place
+        (["gates", "--set", "dump_matrix=d.csv"], "outdir", "outdir"),
     ])
     def test_write_failure_exits_two_and_creates_no_file(
             self, tmp_path, monkeypatch, capsys, args, out, failing):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
         assert main(args + ["--out", out]) == 2
         assert f"cannot write {failing}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
+
+    @pytest.mark.parametrize("args, key", [
+        (["gates", "--set", "dump_matrix=o.csv"], "dump_matrix"),
+        (["gates", "--set", "dump_matrix=./o.csv.manifest.json"], "dump_matrix"),
+        (["channel", "--set", "n_points=201", "--set", "dump_l=o.csv"], "dump_l"),
+    ])
+    def test_dump_path_equal_to_output_exits_two(
+            self, tmp_path, monkeypatch, capsys, args, key):
+        # the dump would replace the output or its sidecar, or be replaced
+        monkeypatch.chdir(tmp_path)
+        assert main(args + ["--out", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "output" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_dump_path_may_equal_output_name_on_stdout(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gates", "--set", "dump_matrix=o.csv"]) == 0
+        assert capsys.readouterr().out.startswith("alpha,")
+        assert (tmp_path / "o.csv").read_text().startswith("re1,")
 
     def test_fig2_style_chart_is_well_formed(self, tmp_path):
         out = tmp_path / "chart.csv"
@@ -450,6 +475,46 @@ def test_channel_overflow_fails_with_one_stderr_line(tmp_path, setting):
     assert len(lines) == 1, lines
     assert lines[0].startswith("channel_qlm: computation failed: iteration 1: ")
     assert list(tmp_path.iterdir()) == []
+
+
+OMEGA_SWEEP = ["channel", "--set", "sweep_key=omega", "--set", "sweep_range=0.5,2,4"]
+MISMATCH = "a = 1.0 differs from the natural-unit harmonic length 1/sqrt(omega) = "
+
+
+def test_warnings_go_to_the_sidecar_not_stderr(tmp_path):
+    proc = run_fresh(OMEGA_SWEEP + ["--out", "o.csv"], cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    sidecar = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+    # omega = 1 matches a = 1 and does not warn; the rest in sweep order
+    assert sidecar["diagnostics"]["warnings"] == [
+        MISMATCH + "1.41421", MISMATCH + "0.816497", MISMATCH + "0.707107"]
+
+
+def test_warnings_after_the_failure_line(tmp_path):
+    proc = run_fresh(OMEGA_SWEEP + ["--set", "m_eff=1e300", "--out", "o.csv"],
+                     cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        "channel_qlm: computation failed: iteration 1: non-finite energy",
+        "channel_qlm: warning: " + MISMATCH + "1.41421"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_distinct_warning_once_and_only_in_the_sidecar(tmp_path):
+    out = tmp_path / "o.json"
+    argv = ["channel", "--set", "n_points=401", "--set", "sweep_key=omega",
+            "--set", "sweep_range=2,2,3", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    sidecar = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert sidecar["diagnostics"] == {"warnings": [MISMATCH + "0.707107"]}
+    assert "diagnostics" not in json.loads(out.read_text())["manifest"]
+
+
+def test_clean_run_sidecar_has_no_diagnostics(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["channel", "--set", "n_points=401", "--out", str(out)]) == 0
+    assert "diagnostics" not in json.loads(Path(f"{out}.manifest.json").read_text())
 
 
 # One process, the same parser: each option present in one call and absent

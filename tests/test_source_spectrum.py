@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,8 +88,6 @@ class TestSpinSplit:
         s = spin_split(HMatrix2(h11=2.5, h12=0.0, h21=0.0, h22=2.5))
         assert s.delta_e == 0.0
         assert s.e_up == s.e_down == 2.5
-        assert np.allclose(s.eigvec_up, [1, 0])
-        assert np.allclose(s.eigvec_down, [0, 1])
 
     def test_matches_dense_solver_on_random_hermitian(self):
         rng = np.random.default_rng(31)
@@ -119,12 +118,9 @@ class TestSpinSplit:
             h = HMatrix2(h11=d, h12=off, h21=off.conjugate(), h22=d)
             assert spin_split(h).delta_e == pytest.approx(2.0 * abs(off), abs=1e-12)
 
-    def test_zero_h21_with_split_diagonal_uses_fallback(self):
+    def test_zero_h21_with_split_diagonal(self):
         s = spin_split(HMatrix2(h11=2.0, h12=0.0, h21=0.0, h22=1.0))
         assert (s.e_up, s.e_down) == (1.0, 2.0)
-        m = np.array([[2.0, 0.0], [0.0, 1.0]])
-        for vec, lam in ((s.eigvec_up, 1.0), (s.eigvec_down, 2.0)):
-            assert np.linalg.norm(m @ vec - lam * vec) < 1e-12
 
     def test_composed_pipeline_matches_dense_solver(self):
         rng = np.random.default_rng(29)
@@ -135,16 +131,9 @@ class TestSpinSplit:
             assert abs(s.e_up - ev[0].real) < 1e-10
             assert abs(s.e_down - ev[1].real) < 1e-10
 
-    def test_eigenvectors_satisfy_eigenproblem(self):
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            d1, d2 = rng.normal(size=2)
-            off = rng.normal() + 1j * rng.normal()
-            h = HMatrix2(h11=d1, h12=off, h21=off.conjugate(), h22=d2)
-            s = spin_split(h)
-            m = h.to_array()
-            assert np.linalg.norm(m @ s.eigvec_up - s.e_up * s.eigvec_up) < 1e-9
-            assert np.linalg.norm(m @ s.eigvec_down - s.e_down * s.eigvec_down) < 1e-9
+    def test_result_holds_energies_only(self):
+        s = spin_split(HMatrix2(h11=3.0, h12=1.0, h21=1.0, h22=1.0))
+        assert [f.name for f in dataclasses.fields(s)] == ["e_up", "e_down", "delta_e"]
 
 
 class TestChartDeltaE:
