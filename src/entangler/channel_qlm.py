@@ -146,29 +146,15 @@ def _cumulative(f: np.ndarray, h: float) -> np.ndarray:
 
     Chained Simpson: out[i] = out[i-2] + Simpson(i-2, i-1, i), with a single
     trapezoid panel seeding the odd chain. Order 4 away from the seed panel.
+    f holds at least the 3 samples of a Grid1D.
     """
-    n = f.shape[0]
-    out = np.empty(n)
+    out = np.empty(f.shape[0])
     out[0] = 0.0
-    if n == 1:
-        return out
     out[1] = 0.5 * h * (f[0] + f[1])
-    if n == 2:
-        return out
     panels = (h / 3.0) * (f[:-2] + 4.0 * f[1:-1] + f[2:])
     out[2::2] = np.cumsum(panels[0::2])
-    if n > 3:
-        out[3::2] = out[1] + np.cumsum(panels[1::2])
+    out[3::2] = out[1] + np.cumsum(panels[1::2])
     return out
-
-
-def _backward_cumulative(f: np.ndarray, h: float) -> np.ndarray:
-    """b[i] = integral from y_i to y_max of f, same panel rule as _cumulative.
-
-    Accumulating from the tail keeps b relatively accurate where f is tiny,
-    which is what the division by the integrating factor needs.
-    """
-    return _cumulative(f[::-1], h)[::-1]
 
 
 def qlm_weight(prev_l: np.ndarray, cfg: QlmConfig) -> np.ndarray:
@@ -226,7 +212,7 @@ def qlm_step(prev_l: np.ndarray, w: np.ndarray, energy: float, v: np.ndarray,
     and is numerically meaningless beyond a few decay lengths.
     """
     q = prev_l ** 2 - 2.0 * p.m_eff * (energy - v)
-    b = _backward_cumulative(w * q, cfg.grid.spacing)
+    b = _cumulative((w * q)[::-1], cfg.grid.spacing)[::-1]
     return (0.0 - b) / w  # 0.0 - b keeps the last sample +0.0, not -0.0
 
 

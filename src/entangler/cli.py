@@ -33,8 +33,7 @@ from .channel_qlm import (ChannelPotentialParams, QlmConfig, default_qlm_grid,
                           harmonic_reference_potential, qlm_spectrum)
 from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
                     apply, bell_state, cnot_from_sqrt_swap, concurrence,
-                    exchange_evolution_expm, gate_fidelity, matrix_rows,
-                    u_swap_alpha)
+                    exchange_evolution_expm, gate_fidelity, u_swap_alpha)
 from .numerics import DomainError, Grid1D, eigen_small
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
 from .twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitMatrix, TwoQubitParams,
@@ -68,6 +67,10 @@ MAX_CHART_POINTS = 1_000_000
 # keeps its n_points log-derivative samples until the run ends.
 MAX_CHANNEL_SAMPLES = 1_000_000
 
+# Rows per piece of rendered output. A table is rendered and written piece
+# by piece, so no string or encoded buffer holds a whole megabyte chart.
+_PIECE_ROWS = 512
+
 TARGET_SOURCE = "source_delta_e"
 TARGET_CHANNEL = "channel_qlm"
 TARGET_TWOQUBIT = "twoqubit_eigen"
@@ -97,7 +100,7 @@ class _RunState:
     """What the points of one run share."""
 
     output_format: str
-    files: dict = field(default_factory=dict)  # path -> text; dumps come first
+    files: dict = field(default_factory=dict)  # path -> pieces; dumps first
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,10 @@ def _resolve(spec: SweepSpec) -> dict:
                 f"valid: {list(target.sweepable)}")
         if spec.sweep_range is None:
             raise ConfigError("sweep_key requires sweep_range")
+    elif spec.sweep_range is not None:
+        raise ConfigError("sweep_range requires sweep_key")
+    if not spec.output_path:
+        raise ConfigError(f"out must be a path or -, got {spec.output_path!r}")
     for key in ("dump_l", "dump_matrix"):
         dump = resolved.get(key)
         if dump and spec.output_path != STDOUT_MARKER and os.path.abspath(dump) in {
@@ -381,14 +388,12 @@ def _gate_point(resolved: dict, state: _RunState) -> list[tuple]:
             + alpha_independent]
 
 
-def _render_gate_matrix(gate, output_format: str) -> str:
-    rows = matrix_rows(gate)
+def _render_gate_matrix(gate, output_format: str) -> list[str]:
+    pairs = np.stack([gate.matrix.real, gate.matrix.imag], axis=-1)  # 4x4x(re, im)
     if output_format == "json":
-        entries = [[[row[2 * j], row[2 * j + 1]] for j in range(4)]
-                   for row in rows]
-        return _emit_json_value({"matrix": entries}) + "\n"
+        return [_emit_json_value({"matrix": pairs.tolist()}) + "\n"]
     return _render_csv([f"{part}{j + 1}" for j in range(4) for part in ("re", "im")],
-                       rows)
+                       [tuple(row) for row in pairs.reshape(4, 8).tolist()])
 
 
 # The records hold cli's own functions, which reach the library through
@@ -512,37 +517,43 @@ def _emit_json_value(v) -> str:
     raise TypeError(f"cannot emit {type(v)}")
 
 
-def _render_csv(columns, rows) -> str:
-    return "\n".join([",".join(columns)] + _format_rows(rows)) + "\n"
+def _pieces(lines: list[str], sep: str) -> list[str]:
+    """sep.join(lines) cut into pieces of at most _PIECE_ROWS lines."""
+    return [("" if i == 0 else sep) + sep.join(lines[i:i + _PIECE_ROWS])
+            for i in range(0, len(lines), _PIECE_ROWS)]
 
 
-def _render_json(manifest: dict, columns, rows, report=None) -> str:
+def _render_csv(columns, rows) -> list[str]:
+    return _pieces([",".join(columns)] + _format_rows(rows), "\n") + ["\n"]
+
+
+def _render_json(manifest: dict, columns, rows, report=None) -> list[str]:
     # The timestamp stays in the sidecar, so identical runs render alike.
     manifest_obj = {k: v for k, v in manifest.items() if k != "timestamp"}
     if report is not None:
-        return _emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"
-    rows_text = ", ".join(_format_rows(rows, as_json=True))
-    return (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
-            f'"columns": {_emit_json_value(list(columns))}, "rows": [{rows_text}]}}\n')
+        return [_emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"]
+    head = (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
+            f'"columns": {_emit_json_value(list(columns))}, "rows": [')
+    return [head] + _pieces(_format_rows(rows, as_json=True), ", ") + ["]}\n"]
 
 
 def _write_files(files: dict) -> None:
-    """Write every path -> text entry, or none of them.
+    """Write every path -> pieces entry, piece by piece, or none of them.
 
-    Each text goes to a temp file beside its target, and the temps replace
+    Each file goes to a temp file beside its target, and the temps replace
     their targets only once all of them are written; a directory is no
     target. On failure the temps are removed and the OSError is raised
     again, naming the target path.
     """
     temps = {}
     try:
-        for path, text in files.items():
+        for path, pieces in files.items():
             if os.path.isdir(path):
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             tmp = f"{path}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "x", encoding="utf-8", newline="") as fh:
                 temps[path] = tmp
-                fh.write(text)
+                fh.writelines(pieces)
         for path, tmp in temps.items():
             os.replace(tmp, path)
     except OSError as exc:
@@ -597,7 +608,7 @@ def run(spec: SweepSpec) -> int:
             primary = _render_csv(columns, rows)
         if warned:
             manifest["diagnostics"] = {"warnings": warned}
-        sidecar = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        sidecar = [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
         if spec.output_path != STDOUT_MARKER:
             state.files[spec.output_path] = primary
             state.files[spec.output_path + ".manifest.json"] = sidecar
@@ -611,8 +622,8 @@ def run(spec: SweepSpec) -> int:
             f"{spec.target}: warning: {message}\n" for message in warned))
         return code
     if spec.output_path == STDOUT_MARKER:
-        sys.stdout.write(primary)
-        sys.stderr.write(sidecar)
+        sys.stdout.writelines(primary)
+        sys.stderr.writelines(sidecar)
     return 0
 
 

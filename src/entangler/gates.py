@@ -31,7 +31,6 @@ __all__ = [
     "Gate4",
     "bell_state",
     "u_swap_alpha",
-    "exchange_evolution",
     "exchange_evolution_expm",
     "spin_dot_operator",
     "single_qubit_rz",
@@ -41,7 +40,6 @@ __all__ = [
     "concurrence",
     "apply",
     "gate_fidelity",
-    "matrix_rows",
     "SWAP",
     "SQRT_SWAP",
     "CNOT",
@@ -124,19 +122,10 @@ def spin_dot_operator() -> np.ndarray:
     return (np.kron(_SX, _SX) + np.kron(_SY, _SY) + np.kron(_SZ, _SZ)) / 4.0
 
 
-def exchange_evolution(alpha: float) -> Gate4:
-    """exp(-i alpha S_s.S_c) by the closed form; equals u_swap_alpha(alpha)
-    times the global phase e^{-i alpha/4}."""
-    a = float(alpha)
-    m = cmath.exp(0.25j * a) * (math.cos(0.5 * a) * np.eye(4)
-                                - 1j * math.sin(0.5 * a) * SWAP)
-    return Gate4(m)
-
-
 def exchange_evolution_expm(alpha: float) -> Gate4:
-    """Same operator as a matrix exponential, V diag(exp(-i alpha w)) V^dag
-    from the eigen decomposition of S_s.S_c: a numeric cross-check that
-    does not use the SWAP identity behind the closed form."""
+    """exp(-i alpha S_s.S_c) as V diag(exp(-i alpha w)) V^dag from the eigen
+    decomposition of S_s.S_c: u_swap_alpha(alpha) times e^{-i alpha/4}, found
+    without the SWAP identity behind the module's closed form."""
     w, v = _spin_dot_eigh()
     phases = np.exp(-1j * float(alpha) * w)
     return Gate4((v * phases) @ v.conj().T)
@@ -228,11 +217,6 @@ def gate_fidelity(u: Gate4, v: Gate4) -> float:
     """Global-phase-insensitive gate match: |tr(U^dag V)| / 4, equal to 1
     iff U = e^{i phi} V."""
     return float(abs(np.trace(u.matrix.conj().T @ v.matrix)) / 4.0)
-
-
-def matrix_rows(g: Gate4) -> list[tuple[float, ...]]:
-    """Rows of interleaved (re, im) pairs, the flat layout used for dumps."""
-    return [tuple(x for z in row for x in (z.real, z.imag)) for row in g.matrix]
 
 
 SWAP = np.array(

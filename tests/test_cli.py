@@ -10,12 +10,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
                            SweepSpec, main, parse_config, run)
+from entangler.gates import u_swap_alpha
 from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
                                         claimed_vs_numeric, expectations)
 
@@ -72,6 +74,14 @@ class TestParseConfig:
     def test_bad_sweep_range(self):
         with pytest.raises(ConfigError, match="sweep_range"):
             parse_config("target=gate_check\nsweep_key=alpha\nsweep_range=1,0,2")
+
+    def test_sweep_range_requires_sweep_key(self):
+        with pytest.raises(ConfigError, match="sweep_range requires sweep_key"):
+            parse_config("target=gate_check\nsweep_range=0,1,3")
+
+    def test_empty_out_is_config_error(self):
+        with pytest.raises(ConfigError, match="out must be a path or -, got ''"):
+            parse_config("target=gate_check\nout=")
 
     def test_sweep_steps_cap(self):
         base = "target=gate_check\nsweep_key=alpha\nsweep_range=0,1,"
@@ -161,6 +171,8 @@ class TestRun:
          "sweep_range must be (start, stop, steps)"),
         ({"sweep_key": "alpha", "sweep_range": ("0", "1", 3)}, 2,
          "sweep_range must be (start, stop, steps)"),
+        ({"sweep_range": (0.0, 1.0, 3)}, 2, "sweep_range requires sweep_key"),
+        ({"output_path": ""}, 2, "out must be a path or -, got ''"),
     ])
     def test_spec_changed_after_parse(self, tmp_path, monkeypatch, capsys,
                                       change, code, message):
@@ -259,6 +271,18 @@ class TestRun:
         assert len(lines) == 5
         first = [float(v) for v in lines[1].split(",")]
         assert first == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        # JSON: one [re, im] pair per entry, exact at 17 significant digits
+        dump = tmp_path / "swap.json"
+        spec = parse_config(f"target=gate_check\nalpha={math.pi!r}\n"
+                            f"dump_matrix={dump}\nformat=json")
+        spec.output_path = str(tmp_path / "r.json")
+        assert run(spec) == 0
+        payload = json.loads(dump.read_text())
+        assert list(payload) == ["matrix"]
+        matrix = np.array([[complex(*pair) for pair in row]
+                           for row in payload["matrix"]])
+        assert all(len(pair) == 2 for row in payload["matrix"] for pair in row)
+        assert np.array_equal(matrix, u_swap_alpha(math.pi).matrix)
 
     def test_computation_error_exit_one(self, tmp_path, capsys):
         # y grid too short for the requested slope: module-level failure
@@ -515,6 +539,32 @@ def test_clean_run_sidecar_has_no_diagnostics(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["channel", "--set", "n_points=401", "--out", str(out)]) == 0
     assert "diagnostics" not in json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt):
+    """A chart of more rows than one rendered piece holds, written to a file
+    and to standard output, equals the table rendered as one string."""
+    config = f"target=source_delta_e\nx_count=3\ny_points=401\nformat={fmt}"
+    assert 3 * 401 > 2 * cli._PIECE_ROWS
+    cfg, out = write_config(tmp_path, config), tmp_path / f"chart.{fmt}"
+    assert main(["source", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["source", "--config", cfg]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text
+    spec = parse_config(config)
+    resolved = cli._resolve(spec)
+    rows, _ = cli._source_chart(resolved, None)
+    if fmt == "csv":
+        expected = "\n".join(["x,y,e_up,e_down,delta_e"] + cli._format_rows(rows)) + "\n"
+    else:
+        manifest = {k: v for k, v in cli._manifest(spec, resolved).items()
+                    if k != "timestamp"}
+        expected = (f'{{"manifest": {cli._emit_json_value(manifest)}, '
+                    f'"columns": {cli._emit_json_value(list(cli._CHART_COLUMNS))}, '
+                    f'"rows": [{", ".join(cli._format_rows(rows, as_json=True))}]}}\n')
+        assert len(json.loads(text)["rows"]) == 3 * 401
+    assert text == expected
 
 
 # One process, the same parser: each option present in one call and absent

@@ -6,9 +6,9 @@ import pytest
 from entangler.gates import (BELL_LABELS, CHANNEL, CNOT, SOURCE, SQRT_SWAP,
                              SWAP, Gate4, TwoQubitState, apply,
                              bell_state, cnot_from_sqrt_swap, concurrence,
-                             exchange_evolution, exchange_evolution_expm,
-                             gate_fidelity, global_phase, hadamard,
-                             single_qubit_rz, spin_dot_operator, u_swap_alpha)
+                             exchange_evolution_expm, gate_fidelity,
+                             global_phase, hadamard, single_qubit_rz,
+                             spin_dot_operator, u_swap_alpha)
 
 
 def bell_projector_sum(alpha):
@@ -75,7 +75,7 @@ class TestUSwapAlpha:
         rng = np.random.default_rng(61)
         for alpha in rng.uniform(0.0, 4 * math.pi, size=100):
             assert u_swap_alpha(alpha).is_unitary(1e-12)
-            assert exchange_evolution(alpha).is_unitary(1e-12)
+            assert exchange_evolution_expm(alpha).is_unitary(1e-12)
 
     def test_one_parameter_group(self):
         rng = np.random.default_rng(67)
@@ -93,25 +93,29 @@ class TestExchangeEvolution:
         assert np.abs(lhs - rhs).max() <= 1e-14
 
     def test_closed_form_equals_expm(self):
-        from scipy.linalg import expm  # a second, independent exponential
+        # the gates module docstring's closed form, and two exponentials of
+        # -i alpha S_s.S_c: the package's spectral one and scipy's expm
+        from scipy.linalg import expm
         for alpha in (0.1, math.pi / 2, math.pi, 2.7):
-            closed = exchange_evolution(alpha).matrix
-            for m in (exchange_evolution_expm(alpha).matrix,
-                      expm(-1j * alpha * spin_dot_operator())):
-                assert np.abs(closed - m).max() <= 1e-13
+            closed = np.exp(0.25j * alpha) * (math.cos(0.5 * alpha) * np.eye(4)
+                                              - 1j * math.sin(0.5 * alpha) * SWAP)
+            spectral = exchange_evolution_expm(alpha).matrix
+            reference = expm(-1j * alpha * spin_dot_operator())
+            assert np.abs(spectral - reference).max() <= 1e-13
+            assert np.abs(closed - reference).max() <= 1e-13
 
     def test_phase_relation_to_swap_family(self):
         # triplet phase e^{-ia/4}, singlet e^{3ia/4}: same gate up to the
         # global factor e^{-ia/4}
         for alpha in (0.1, math.pi / 2, math.pi, 2.7):
             u = u_swap_alpha(alpha)
-            v = exchange_evolution(alpha)
+            v = exchange_evolution_expm(alpha)
             assert gate_fidelity(u, v) == pytest.approx(1.0, abs=1e-12)
             dev = np.abs(v.matrix - np.exp(-0.25j * alpha) * u.matrix)
             assert dev.max() <= 1e-12
 
     def test_identity_at_zero(self):
-        assert np.abs(exchange_evolution(0.0).matrix - np.eye(4)).max() <= 1e-15
+        assert np.abs(exchange_evolution_expm(0.0).matrix - np.eye(4)).max() <= 1e-15
 
 
 class TestSingleQubitGates:
