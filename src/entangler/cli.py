@@ -595,6 +595,8 @@ def run(spec: SweepSpec) -> int:
         except DomainError as exc:
             name = target.aliases.get(exc.name, exc.name)
             failure = 2, f"config error: bad value for key {name!r}: {exc}"
+        except OverflowError:  # float ** says only "(34, 'Numerical result ...')"
+            failure = 1, f"{spec.target}: computation failed: floating-point overflow"
         except Exception as exc:  # computation failure inside a module
             failure = 1, f"{spec.target}: computation failed: {exc}"
         else:

@@ -187,14 +187,13 @@ class EigenSystem:
 
     Eigenvalues are sorted by ascending real part, ties broken by ascending
     imaginary part; eigenvectors[:, i] is the unit-norm vector for
-    eigenvalues[i]. residuals[i] = ||M v - lambda v||_2. ``defective`` is set
-    when some residual exceeds the acceptance threshold instead of failing.
+    eigenvalues[i]. ``hermitian`` records the solver branch: True when the
+    input passed is_hermitian and went through the symmetric solver.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residuals: np.ndarray
-    defective: bool
+    hermitian: bool
 
 
 def eigen_small(m: Sequence[Sequence[complex]] | np.ndarray) -> EigenSystem:
@@ -210,7 +209,8 @@ def eigen_small(m: Sequence[Sequence[complex]] | np.ndarray) -> EigenSystem:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
-    if is_hermitian(a):
+    hermitian = is_hermitian(a)
+    if hermitian:
         vals, vecs = np.linalg.eigh(a)
         vals = vals.astype(complex)
     else:
@@ -220,11 +220,7 @@ def eigen_small(m: Sequence[Sequence[complex]] | np.ndarray) -> EigenSystem:
     vals = vals[order]
     vecs = vecs[:, order]
     vecs = vecs / np.linalg.norm(vecs, axis=0)
-
-    scale = max(1.0, np.linalg.norm(a, 2))
-    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
-    defective = bool(np.any(residuals > 1e-10 * scale))
-    return EigenSystem(vals, vecs, residuals, defective)
+    return EigenSystem(vals, vecs, hermitian)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, EigenSystem, check_domain, eigen_small,
-                       is_hermitian)
+from .numerics import DomainError, EigenSystem, check_domain, eigen_small
 
 __all__ = [
     "ALONG_X",
@@ -210,7 +209,7 @@ def claimed_vs_numeric(m: TwoQubitMatrix) -> EigenReport:
         claimed_eigenvalues=[complex(v) for v in vals],
         claimed_residuals=residuals,
         numeric=numeric,
-        hermitian=is_hermitian(a),
+        hermitian=numeric.hermitian,
         degenerate=degenerate,
         eigenvalue_set_distance=float(max(forward, backward)),
     )

@@ -501,6 +501,20 @@ def test_channel_overflow_fails_with_one_stderr_line(tmp_path, setting):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["source", "--set", "k=1e200"],
+                                  ["channel", "--set", "omega=1e200"],
+                                  ["twoqubit", "--set", "a_b=1e200"]])
+def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
+    # Python's float ** raises OverflowError with the bare errno text
+    # "(34, 'Numerical result out of range')"
+    proc = run_fresh(argv + ["--out", "x.csv"], cwd=tmp_path)
+    assert proc.returncode == 1
+    line = proc.stderr.decode().splitlines()[0]
+    assert line.endswith(": computation failed: floating-point overflow")
+    assert "overflow" in line and "(34," not in line
+    assert list(tmp_path.iterdir()) == []
+
+
 OMEGA_SWEEP = ["channel", "--set", "sweep_key=omega", "--set", "sweep_range=0.5,2,4"]
 MISMATCH = "a = 1.0 differs from the natural-unit harmonic length 1/sqrt(omega) = "
 

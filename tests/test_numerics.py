@@ -141,11 +141,21 @@ class TestErfcxArray:
         assert float_bits([out]) == float_bits([erfcx(x)])
 
 
+def eigen_residuals(m, sys):
+    """||M v - lambda v||_2 of each eigenpair and the bound 1e-10 * max(1,
+    ||M||_2) they must meet, computed here rather than by eigen_small."""
+    a = np.asarray(m, dtype=complex)
+    vecs = sys.eigenvectors
+    residuals = np.linalg.norm(a @ vecs - vecs * sys.eigenvalues, axis=0)
+    return residuals, 1e-10 * max(1.0, np.linalg.norm(a, 2))
+
+
 class TestEigenSmall:
     def test_identity(self):
         sys = eigen_small(np.eye(2))
         assert np.allclose(sys.eigenvalues, [1.0, 1.0])
-        assert not sys.defective
+        residuals, bound = eigen_residuals(np.eye(2), sys)
+        assert np.all(residuals <= bound)
 
     def test_symmetric_2x2(self):
         sys = eigen_small([[3.0, 1.0], [1.0, 1.0]])
@@ -181,9 +191,18 @@ class TestEigenSmall:
     def test_residual_invariant(self):
         rng = np.random.default_rng(13)
         m = rng.normal(size=(4, 4))
-        sys = eigen_small(m)
-        scale = max(1.0, np.linalg.norm(m, 2))
-        assert np.all(sys.residuals <= 1e-10 * scale)
+        residuals, bound = eigen_residuals(m, eigen_small(m))
+        assert np.all(residuals <= bound)
+
+    def test_hermitian_records_the_solver_branch(self):
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        sys = eigen_small(g + g.conj().T)
+        assert sys.hermitian
+        assert np.all(sys.eigenvalues.imag == 0.0)  # eigh: a real spectrum
+        # the 4x4 channel pattern with (h0, hr) = (2, 1) is not Hermitian
+        m = [[2, 0, 1, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 1, 0, 2]]
+        assert not eigen_small(np.array(m, dtype=complex)).hermitian
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from entangler.twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitParams,
                                         claimed_vs_numeric,
                                         expectations)
 from entangler.channel_qlm import channel_potential, ChannelPotentialParams
-from entangler.numerics import Grid1D
+from entangler.numerics import Grid1D, is_hermitian
 from fd_oracle import fd_schrodinger_oracle
 
 SQRT_PI = math.sqrt(math.pi)
@@ -149,6 +149,13 @@ class TestClaimedVsNumeric:
             ev = claimed_vs_numeric(build_matrix(h0, hr)).numeric.eigenvalues
             sums = [abs(a + b) for i, a in enumerate(ev) for b in ev[i + 1:]]
             assert min(sums) < 1e-10
+
+    @pytest.mark.parametrize("h0", [-2.0, 0.5, 3.0])
+    @pytest.mark.parametrize("hr", [0.0, 1e-13, 0.4, 0.5j, 3.0])
+    def test_hermitian_flag_is_the_solver_branch(self, h0, hr):
+        m = build_matrix(h0, hr)
+        report = claimed_vs_numeric(m)
+        assert report.hermitian == report.numeric.hermitian == is_hermitian(m.matrix)
 
     def test_json_report_fields(self):
         d = claimed_vs_numeric(build_matrix(2.0, 1.0)).to_json_dict()
