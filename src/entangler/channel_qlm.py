@@ -34,6 +34,7 @@ __all__ = [
     "QlmConfig",
     "QlmIterate",
     "QlmError",
+    "coulomb_profile",
     "channel_potential",
     "harmonic_reference_potential",
     "qlm_weight",
@@ -122,15 +123,23 @@ def default_qlm_grid(g: float, n_points: int = 4001) -> Grid1D:
     return Grid1D(0.0, 7.5 / math.sqrt(g), n_points)
 
 
-def channel_potential(p: ChannelPotentialParams, y):
-    """Channel potential at y (scalar or array)."""
+def coulomb_profile(y, fermi_l: float):
+    """erfcx(y / (sqrt(2) fermi_l)), the shape of the screened Coulomb term."""
+    return erfcx(np.asarray(y, dtype=float) / (math.sqrt(2.0) * fermi_l))
+
+
+def channel_potential(p: ChannelPotentialParams, y, profile=None):
+    """Channel potential at y (scalar or array). profile, when given, is
+    coulomb_profile(y, p.fermi_l) sampled already: the points of a sweep
+    that share the grid and fermi_l share one erfcx pass."""
     y = np.asarray(y, dtype=float)
     quartic = (p.m_eff * p.omega ** 2 / (8.0 * p.a ** 2)) * (y ** 2 - p.a ** 2) ** 2
     if not p.include_vc:
         return quartic if quartic.ndim else float(quartic)
+    if profile is None:
+        profile = coulomb_profile(y, p.fermi_l)
     scale = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
-    vc = scale * erfcx(y / (math.sqrt(2.0) * p.fermi_l))
-    out = quartic + vc
+    out = quartic + scale * profile
     return out if out.ndim else float(out)
 
 

@@ -6,9 +6,9 @@ manifest recording the resolved parameters, and identical resolved specs
 produce byte-identical primary output (floats at 17 significant digits,
 ``\\n`` line endings; the manifest timestamp lives only in the sidecar).
 
-Exit codes: 0 success, 1 computation failure, 2 usage/configuration error
-(including an out-of-domain parameter and an output file that cannot be
-written).
+Exit codes: 0 success, 1 computation failure (including output that would
+hold a value that is not finite), 2 usage/configuration error (including an
+out-of-domain parameter and an output file that cannot be written).
 """
 from __future__ import annotations
 
@@ -29,12 +29,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .channel_qlm import (ChannelPotentialParams, QlmConfig, default_qlm_grid,
+from .channel_qlm import (ChannelPotentialParams, QlmConfig, channel_potential,
+                          coulomb_profile, default_qlm_grid,
                           harmonic_reference_potential, qlm_spectrum)
 from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
                     apply, bell_state, cnot_from_sqrt_swap, concurrence,
                     exchange_evolution_expm, gate_fidelity, u_swap_alpha)
-from .numerics import DomainError, Grid1D, eigen_small
+from .numerics import DomainError, Grid1D, check_finite, eigen_small
 from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
 from .twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitMatrix, TwoQubitParams,
                                build_matrix, claimed_vs_numeric, expectations)
@@ -105,16 +106,18 @@ class _RunState:
 
 @dataclass(frozen=True)
 class _Target:
-    """Everything the CLI knows about one target. A point maps one resolved
-    dict to its rows; a single run that is not one point returns (rows,
-    report), and a report is the JSON output in place of the table."""
+    """Everything the CLI knows about one target. A point function maps the
+    resolved dict, the swept key and the list of its values to the rows of
+    all of them; a run without a sweep is a sweep of one, with key None. A
+    single run that is not one point returns (rows, report), and a report
+    is the JSON output in place of the table."""
 
     command: str
     schema: dict[str, tuple]  # key -> (parser, default, help)
     sweepable: tuple[str, ...]
     aliases: dict[str, str]  # params field -> config key, for DomainError
     columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
-    point: Callable[[dict, _RunState], list[tuple]]
+    point: Callable[[dict, str | None, list, _RunState], list[tuple]]
     single: Callable[[dict, _RunState], tuple] | None = None
     single_columns: tuple[str, ...] | None = None  # of single's rows
 
@@ -289,21 +292,59 @@ def _format_rows(rows, as_json: bool = False) -> list[str]:
     return [template % row for row in rows]
 
 
+def _rows(columns, *arrays) -> list[tuple]:
+    """The rows of one array per column. A column holding a value that is
+    not finite fails the run instead, checked on the arrays."""
+    check_finite(columns, arrays)
+    return list(zip(*(a.tolist() for a in arrays)))
+
+
+def _first_failure(point):
+    """A point function that fails as the first of its values that fails
+    would alone. The batched kernels fail when any value does, with that
+    value's error when it is the only one; on failure the prefixes of the
+    values are bisected for the shortest one that fails, whose last value
+    is the first to fail."""
+    @functools.wraps(point)
+    def first(resolved: dict, key: str | None, values: list, state) -> list[tuple]:
+        try:
+            return point(resolved, key, values, state)
+        except Exception as exc:
+            error = exc
+        good, bad = 0, len(values)  # values[:good] pass; values[:bad] fail with error
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                point(resolved, key, values[:mid], state)
+                good = mid
+            except Exception as exc:
+                bad, error = mid, exc
+        raise error
+    return first
+
+
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
 # describes the first point of its run.
 
 _SOURCE_FIELDS = ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
                   "reg_delta")
+_SOURCE_COLUMNS = ("e_up", "e_down", "delta_e")
 _CHART_COLUMNS = ("x", "y", "e_up", "e_down", "delta_e")
+_TWOQUBIT_COLUMNS = ("h0", "hr_re", "hr_im", "e1_re", "e1_im", "e2_re", "e2_im",
+                     "e3_re", "e3_im", "e4_re", "e4_im")
+_REPORT_COLUMNS = ("h0", "hr_re", "hr_im", "max_residual", "eigenvalue_set_distance",
+                   "hermitian", "degenerate")
 
 
 def _source_params(resolved: dict) -> SourceParams:
     return SourceParams(**{k: resolved[k] for k in _SOURCE_FIELDS})
 
 
-def _source_point(resolved: dict, state: _RunState) -> list[tuple]:
-    s = spin_split(build_hmatrix(_source_params(resolved)))
-    return [(s.e_up, s.e_down, s.delta_e)]
+@_first_failure
+def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list[tuple]:
+    swept = np.array(values)
+    s = spin_split(build_hmatrix(_source_params({**resolved, key: swept})))
+    return _rows((key,) + _SOURCE_COLUMNS, swept, s.e_up, s.e_down, s.delta_e)
 
 
 def _source_chart(resolved: dict, state: _RunState) -> tuple:
@@ -314,23 +355,40 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     return chart_delta_e(p, x_values, grid), None
 
 
-def _channel_point(resolved: dict, state: _RunState) -> list[tuple]:
-    p = ChannelPotentialParams(
-        m_eff=resolved["m_eff"], omega=resolved["omega"], a=resolved["a"],
-        coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
-        include_vc=bool(resolved["include_vc"]))
-    g = resolved["g"] or p.m_eff * p.omega
-    cfg = QlmConfig(g=g, grid=default_qlm_grid(g, resolved["n_points"]),
-                    max_iterations=resolved["iterations"])
-    potential = None
-    if resolved["potential"] == "harmonic":
-        potential = lambda y: harmonic_reference_potential(p, y)
-    iterates = qlm_spectrum(p, cfg, potential=potential)
-    dump = resolved["dump_l"]
-    if dump and dump not in state.files:
-        samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
-        state.files[dump] = _render_csv(("y", "l"), list(samples))
-    return [(it.n, it.e_n) for it in iterates]
+def _channel_point(resolved: dict, key: str | None, values: list,
+                   state: _RunState) -> list[tuple]:
+    """One QLM run per point, in sweep order, so the first failing point
+    raises. qlm_spectrum checks that every e_n is finite; the swept value
+    is checked here, as the last step of its point."""
+    rows = []
+    profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
+    for value in values:
+        r = resolved if key is None else {**resolved, key: value}
+        p = ChannelPotentialParams(
+            m_eff=r["m_eff"], omega=r["omega"], a=r["a"], coulomb_k=r["coulomb_k"],
+            fermi_l=r["fermi_l"], include_vc=bool(r["include_vc"]))
+        g = r["g"] or p.m_eff * p.omega
+        cfg = QlmConfig(g=g, grid=default_qlm_grid(g, r["n_points"]),
+                        max_iterations=r["iterations"])
+        if r["potential"] == "harmonic":
+            potential = functools.partial(harmonic_reference_potential, p)
+        else:
+            shape = cfg.grid, p.fermi_l
+            if p.include_vc and shape not in profiles:
+                profiles[shape] = coulomb_profile(cfg.grid.points(), p.fermi_l)
+            potential = functools.partial(channel_potential, p,
+                                          profile=profiles.get(shape))
+        iterates = qlm_spectrum(p, cfg, potential=potential)
+        dump = r["dump_l"]
+        if dump and dump not in state.files:
+            samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
+            state.files[dump] = _render_csv(("y", "l"), list(samples))
+        lead = ()
+        if key is not None:  # a sweep's last values are inf where it overflows
+            check_finite((key,), ([value],))
+            lead = (value,)
+        rows += [lead + (it.n, it.e_n) for it in iterates]
+    return rows
 
 
 def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
@@ -342,19 +400,31 @@ def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
     return build_matrix(*expectations(p))
 
 
-def _twoqubit_point(resolved: dict, state: _RunState) -> list[tuple]:
-    m = _twoqubit_matrix(resolved)
-    hr, ev = m.hr, eigen_small(m.matrix).eigenvalues
-    return [(m.h0, hr.real, hr.imag, ev[0].real, ev[0].imag, ev[1].real,
-             ev[1].imag, ev[2].real, ev[2].imag, ev[3].real, ev[3].imag)]
+@_first_failure
+def _twoqubit_point(resolved: dict, key: str, values: list,
+                    state: _RunState) -> list[tuple]:
+    """The matrices are built point by point, in sweep order; their
+    eigenvalues come from one stacked solve."""
+    h0, hr = [], []
+    for value in values:
+        m = _twoqubit_matrix({**resolved, key: value})
+        h0.append(m.h0)
+        hr.append(m.hr)
+    m = TwoQubitMatrix(h0=np.array(h0), hr=np.array(hr))
+    ev = eigen_small(m.matrix).eigenvalues
+    ev_parts = np.stack([ev.real, ev.imag], axis=-1).reshape(-1, 8).T  # e1_re .. e4_im
+    return _rows((key,) + _TWOQUBIT_COLUMNS, np.array(values), m.h0, m.hr.real,
+                 m.hr.imag, *ev_parts)
 
 
 def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
     report = claimed_vs_numeric(_twoqubit_matrix(resolved))
+    # np.max, not max: Python's max passes over a NaN residual
     row = (report.h0, report.hr.real, report.hr.imag,
-           max(report.claimed_residuals), report.eigenvalue_set_distance,
+           np.max(report.claimed_residuals), report.eigenvalue_set_distance,
            report.hermitian, report.degenerate)
-    return [row], report.to_json_dict()
+    rows = _rows(_REPORT_COLUMNS, *(np.array([v]) for v in row))
+    return rows, report.to_json_dict()
 
 
 @functools.cache
@@ -370,22 +440,30 @@ def _gate_constants() -> tuple:
                    min(concurrence(b) for b in bells))
 
 
-def _gate_point(resolved: dict, state: _RunState) -> list[tuple]:
+def _gate_point(resolved: dict, key: str | None, values: list,
+                state: _RunState) -> list[tuple]:
+    """One row per alpha, alpha by alpha. The gates are unitary and their
+    phases have unit modulus, so a row is finite where its alpha is."""
     bells, alpha_independent = _gate_constants()
-    alpha = resolved["alpha"]
-    u = u_swap_alpha(alpha)
-    dump = resolved["dump_matrix"]
-    if dump and dump not in state.files:
-        state.files[dump] = _render_gate_matrix(u, state.output_format)
-    projector = sum(
-        phase * np.outer(b.amplitudes, b.amplitudes.conj())
-        for b, phase in zip(bells, [1.0, 1.0, 1.0, np.exp(1j * alpha)]))
-    return [(alpha,
-             bool(np.abs(u.matrix - SWAP).max() <= 1e-13),
-             bool(np.abs(u.matrix - SQRT_SWAP).max() <= 1e-13),
-             float(np.abs(u.matrix - projector).max()),
-             gate_fidelity(u, exchange_evolution_expm(alpha)))
-            + alpha_independent]
+    rows = []
+    for value in values:
+        alpha = resolved["alpha"] if key is None else value
+        u = u_swap_alpha(alpha)
+        dump = resolved["dump_matrix"]
+        if dump and dump not in state.files:
+            state.files[dump] = _render_gate_matrix(u, state.output_format)
+        projector = sum(
+            phase * np.outer(b.amplitudes, b.amplitudes.conj())
+            for b, phase in zip(bells, [1.0, 1.0, 1.0, np.exp(1j * alpha)]))
+        rows.append((alpha,
+                     bool(np.abs(u.matrix - SWAP).max() <= 1e-13),
+                     bool(np.abs(u.matrix - SQRT_SWAP).max() <= 1e-13),
+                     float(np.abs(u.matrix - projector).max()),
+                     gate_fidelity(u, exchange_evolution_expm(alpha)))
+                    + alpha_independent)
+    if key is not None:  # a sweep's last values are inf where it overflows
+        check_finite((key,), (values,))
+    return rows
 
 
 def _render_gate_matrix(gate, output_format: str) -> list[str]:
@@ -418,7 +496,7 @@ _TARGETS = {
         },
         sweepable=("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
         aliases={"n_points": "y_points"},
-        columns=("e_up", "e_down", "delta_e"),
+        columns=_SOURCE_COLUMNS,
         point=_source_point,
         single=_source_chart,
         single_columns=_CHART_COLUMNS,
@@ -460,12 +538,10 @@ _TARGETS = {
         },
         sweepable=("omega", "k", "alpha_r", "coulomb_k", "lambda"),
         aliases={"lam": "lambda"},
-        columns=("h0", "hr_re", "hr_im", "e1_re", "e1_im", "e2_re", "e2_im",
-                 "e3_re", "e3_im", "e4_re", "e4_im"),
+        columns=_TWOQUBIT_COLUMNS,
         point=_twoqubit_point,
         single=_twoqubit_single,
-        single_columns=("h0", "hr_re", "hr_im", "max_residual",
-                        "eigenvalue_set_distance", "hermitian", "degenerate"),
+        single_columns=_REPORT_COLUMNS,
     ),
     TARGET_GATES: _Target(
         command="gates",
@@ -581,15 +657,12 @@ def run(spec: SweepSpec) -> int:
             if key is None and target.single is not None:
                 columns = target.single_columns
                 rows, report = target.single(resolved, state)
-            elif key is None:
-                columns, rows, report = target.columns, target.point(resolved, state), None
             else:
-                lead = key not in target.columns  # gates rows hold alpha already
+                # a sweep's rows lead with its key; gates rows hold alpha already
+                lead = key is not None and key not in target.columns
                 columns = ((key,) if lead else ()) + target.columns
-                rows, report = [], None
-                for value in _sweep_values(spec):
-                    point_rows = target.point({**resolved, key: value}, state)
-                    rows += [(value,) + row for row in point_rows] if lead else point_rows
+                values = [None] if key is None else _sweep_values(spec)
+                rows, report = target.point(resolved, key, values, state), None
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"
         except DomainError as exc:

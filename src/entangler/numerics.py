@@ -1,4 +1,6 @@
-"""Shared numerical kernel: erfcx, small eigen solvers and a quadrature.
+"""Shared numerical kernel: erfcx, small eigen solvers and a quadrature,
+and the checks the modules share: check_domain (of scalars, or of arrays
+over the points of a sweep) and check_finite.
 
 The adaptive Simpson quadrature ``integrate`` has no caller in the program
 any more: both integrals it served (the source log-Coulomb term and the
@@ -12,6 +14,7 @@ bit-deterministic and safe to call from multiple threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +24,8 @@ __all__ = [
     "Grid1D",
     "DomainError",
     "check_domain",
+    "first_failure",
+    "check_finite",
     "QuadratureError",
     "integrate",
     "erfcx",
@@ -40,17 +45,38 @@ class DomainError(ValueError):
         self.name = name
 
 
+def first_failure(bad, *values):
+    """None where bad holds nowhere, else the values at its first point. bad
+    is a bool or a bool array over the points of a sweep; array values come
+    back as Python scalars."""
+    if not isinstance(bad, np.ndarray):
+        return values if bad else None
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return tuple(v[i].item() if isinstance(v, np.ndarray) else v for v in values)
+
+
 def check_domain(params, positive=(), non_negative=()) -> None:
     """Raise DomainError for the first of the named fields of params that is
-    not positive, then for the first of the others that is negative."""
-    for name in positive:
-        if getattr(params, name) <= 0:
-            raise DomainError(
-                name, f"{name} must be positive, got {getattr(params, name)}")
-    for name in non_negative:
-        if getattr(params, name) < 0:
-            raise DomainError(
-                name, f"{name} must be non-negative, got {getattr(params, name)}")
+    not positive, then for the first of the others that is negative. A field
+    may hold an array (a sweep); its first failing value is named."""
+    for names, word, fails in ((positive, "positive", operator.le),
+                               (non_negative, "non-negative", operator.lt)):
+        for name in names:
+            value = getattr(params, name)
+            bad = first_failure(fails(value, 0), value)
+            if bad:
+                raise DomainError(name, f"{name} must be {word}, got {bad[0]}")
+
+
+def check_finite(names, columns) -> None:
+    """Raise ValueError("non-finite <name>") for the first of the columns
+    (arrays or lists, one per name) that holds a float that is not finite."""
+    for name, column in zip(names, columns):
+        a = np.asarray(column)
+        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+            raise ValueError(f"non-finite {name}")
 
 
 class QuadratureError(RuntimeError):
@@ -183,48 +209,60 @@ def _erfcx_scalar(x: float) -> float:
 
 @dataclass
 class EigenSystem:
-    """Full eigen decomposition of a small dense matrix.
+    """Full eigen decomposition of a small dense matrix, or of each matrix
+    of a stack.
 
     Eigenvalues are sorted by ascending real part, ties broken by ascending
-    imaginary part; eigenvectors[:, i] is the unit-norm vector for
-    eigenvalues[i]. ``hermitian`` records the solver branch: True when the
-    input passed is_hermitian and went through the symmetric solver.
+    imaginary part; eigenvectors[..., :, i] is the unit-norm vector for
+    eigenvalues[..., i]. ``hermitian`` records the solver branch: True when
+    the input passed is_hermitian and went through the symmetric solver (a
+    bool array over a stack).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    hermitian: bool
+    hermitian: bool | np.ndarray
 
 
 def eigen_small(m: Sequence[Sequence[complex]] | np.ndarray) -> EigenSystem:
-    """Eigen decomposition of a 2x2 or 4x4 complex matrix.
+    """Eigen decomposition of a 2x2 or 4x4 complex matrix, or of a stack of
+    them, shape (n, k, k).
 
-    Hermitian input goes through the symmetric solver (real spectrum,
-    orthonormal vectors); anything else through the general solver. Output
-    ordering is deterministic for fixed input.
+    Hermitian matrices go through the symmetric solver (real spectrum,
+    orthonormal vectors), the rest through the general solver, one LAPACK
+    call per branch for the whole stack; each matrix gets the bits a call
+    on it alone would give. Output ordering is deterministic for fixed
+    input.
     """
     a = np.asarray(m, dtype=complex)
-    if a.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2:] not in ((2, 2), (4, 4)):
+        raise ValueError(f"expected a 2x2 or 4x4 matrix or a stack of them, "
+                         f"got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
-    hermitian = is_hermitian(a)
-    if hermitian:
-        vals, vecs = np.linalg.eigh(a)
-        vals = vals.astype(complex)
-    else:
-        vals, vecs = np.linalg.eig(a)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    hermitian = is_hermitian(stack)
+    vals = np.empty(stack.shape[:2], dtype=complex)
+    vecs = np.empty_like(stack)
+    for branch, solve in ((hermitian, np.linalg.eigh), (~hermitian, np.linalg.eig)):
+        if branch.any():
+            vals[branch], vecs[branch] = solve(stack[branch])
 
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    order = np.lexsort((vals.imag, vals.real), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    vecs = vecs / np.linalg.norm(vecs, axis=-2, keepdims=True)
+    if a.ndim == 2:
+        return EigenSystem(vals[0], vecs[0], bool(hermitian[0]))
     return EigenSystem(vals, vecs, hermitian)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """m == m^dagger within 1e-12 * max(1, max |m_ij|)."""
+def is_hermitian(m: np.ndarray) -> bool | np.ndarray:
+    """m == m^dagger within 1e-12 * max(1, max |m_ij|), of a matrix or of
+    each matrix of a stack."""
     a = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.abs(a).max()))
-    return bool(np.abs(a - a.conj().T).max() <= 1e-12 * scale)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    dev = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+    ok = dev <= 1e-12 * scale
+    return bool(ok) if ok.ndim == 0 else ok

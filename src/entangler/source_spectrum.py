@@ -19,16 +19,22 @@ built two ways:
 The log singularity at x = y is handled as -beta ln(|x - y| / R) with an
 exclusion window of half-width reg_delta, the standard principal-value
 treatment of the 2D logarithmic interaction.
+
+Any SourceParams field may hold an array, one value per point of a sweep;
+build_hmatrix and spin_split then work on every point at once, and each
+point gets the bits the scalar arithmetic gives it. A sweep with a point
+that fails raises that point's error; which point fails first is for the
+caller to find (the CLI bisects the sweep).
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, check_domain
+from .numerics import DomainError, Grid1D, check_domain, check_finite, first_failure
 
 __all__ = [
     "SourceParams",
@@ -44,6 +50,8 @@ _DEGENERATE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class SourceParams:
+    """Lead parameters; any field may be an array over the points of a sweep."""
+
     m_eff: float = 1.0
     omega: float = 1.0
     beta: float = 0.5
@@ -57,15 +65,17 @@ class SourceParams:
         check_domain(self,
                      positive=("m_eff", "omega", "r_coulomb", "l_x", "reg_delta"),
                      non_negative=("beta", "alpha_r"))
-        if self.reg_delta >= self.l_x / 10.0:
-            raise DomainError(
-                "reg_delta", f"reg_delta = {self.reg_delta} must be below "
-                             f"l_x / 10 = {self.l_x / 10.0}")
+        bad = first_failure(self.reg_delta >= self.l_x / 10.0, self.reg_delta, self.l_x)
+        if bad:
+            reg_delta, l_x = bad
+            raise DomainError("reg_delta", f"reg_delta = {reg_delta} must be below "
+                                           f"l_x / 10 = {l_x / 10.0}")
 
 
 @dataclass(frozen=True)
 class HMatrix2:
-    """2x2 expectation matrix of the lead Hamiltonian in the spinor basis."""
+    """2x2 expectation matrix of the lead Hamiltonian in the spinor basis;
+    entries are arrays for a sweep."""
 
     h11: complex
     h12: complex
@@ -78,7 +88,8 @@ class HMatrix2:
 
 @dataclass(frozen=True)
 class SpinSplitResult:
-    """Spin-up and spin-down energies of the lead and their splitting."""
+    """Spin-up and spin-down energies of the lead and their splitting;
+    arrays for a sweep."""
 
     e_up: float
     e_down: float
@@ -88,6 +99,15 @@ class SpinSplitResult:
 def _transverse_density(p: SourceParams, x: float) -> float:
     """|phi(x)|^2 for the normalized sin profile on [0, L_x]."""
     return (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
+
+
+def _square(x):
+    """x ** 2 by Python's float power, elementwise on an array. That is C's
+    pow, which differs from x * x (numpy's square) in the last bit on some
+    doubles, and it raises OverflowError where the square overflows."""
+    if np.ndim(x):
+        return np.array([v ** 2 for v in np.asarray(x).tolist()])
+    return float(x) ** 2
 
 
 # Terms of the Si power series: at z = 2 pi the 22nd term is below 1e-20.
@@ -106,15 +126,24 @@ def _si(z: float) -> float:
     return total
 
 
-def _log_coulomb(p: SourceParams) -> float:
-    """-(beta/L) [F(L) - F(delta)], the log-Coulomb term of build_hmatrix."""
-    c = 2.0 * math.pi / p.l_x
+def _bracket(l_x: float, r_coulomb: float, reg_delta: float) -> float:
+    """F(L) - F(delta) of build_hmatrix's log-Coulomb term."""
+    c = 2.0 * math.pi / l_x
 
     def antiderivative(x: float) -> float:
-        log_x = math.log(x / p.r_coulomb)
+        log_x = math.log(x / r_coulomb)
         return x * log_x - x - (math.sin(c * x) * log_x - _si(c * x)) / c
 
-    return -(p.beta / p.l_x) * (antiderivative(p.l_x) - antiderivative(p.reg_delta))
+    return antiderivative(l_x) - antiderivative(reg_delta)
+
+
+def _log_coulomb(p: SourceParams):
+    """-(beta/L) [F(L) - F(delta)], the log-Coulomb term of build_hmatrix.
+    The bracket depends on l_x, r_coulomb and reg_delta only, so it is
+    taken once, or once per point where one of them is an array."""
+    fields = np.broadcast_arrays(p.l_x, p.r_coulomb, p.reg_delta)
+    bracket = [_bracket(*point) for point in zip(*(f.ravel().tolist() for f in fields))]
+    return -(p.beta / p.l_x) * np.reshape(bracket, fields[0].shape)
 
 
 def build_hmatrix(p: SourceParams) -> HMatrix2:
@@ -135,33 +164,53 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 
     Si is only needed on [0, 2 pi], where its power series converges in ~20
     terms; scipy.special.sici would load scipy in every source run.
+    Array fields give array entries, each with the bits and the errors of
+    Python float arithmetic.
     """
-    kinetic_x = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2)
-    kinetic_y = p.k ** 2 / (2.0 * p.m_eff)
-    # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
-    harmonic_x = 0.5 * p.m_eff * p.omega ** 2 * p.l_x ** 2 * (1.0 / 3.0 - 0.5 / math.pi ** 2)
-    diag = kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p)
-    rashba = complex(p.alpha_r * p.k)
-    return HMatrix2(h11=complex(diag), h12=rashba, h21=rashba.conjugate(),
-                    h22=complex(diag))
+    with np.errstate(all="ignore"):
+        l_x2 = _square(p.l_x)
+        box = 2.0 * p.m_eff * l_x2
+        if np.any(box == 0.0):
+            raise ZeroDivisionError("float division by zero")
+        kinetic_x = math.pi ** 2 / box
+        kinetic_y = _square(p.k) / (2.0 * p.m_eff)
+        # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
+        harmonic_x = (0.5 * p.m_eff * _square(p.omega) * l_x2
+                      * (1.0 / 3.0 - 0.5 / math.pi ** 2))
+        diag = np.asarray(kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p),
+                          dtype=complex)[()]
+        rashba = np.asarray(p.alpha_r * p.k, dtype=complex)[()]
+    return HMatrix2(h11=diag, h12=rashba, h21=rashba.conjugate(), h22=diag)
 
 
 def spin_split(h: HMatrix2) -> SpinSplitResult:
     """Closed-form eigenvalue pair of the 2x2 matrix (energies only), reading
     the discriminant as (h11-h22)^2 + 4 h12 h21. Below 1e-14 of the squared
-    matrix scale it is degenerate: both energies are the mean diagonal."""
-    disc = (h.h11 - h.h22) ** 2 + 4.0 * h.h12 * h.h21
-    scale = max(1.0, abs(h.h11), abs(h.h22), abs(h.h12), abs(h.h21)) ** 2
-    if abs(disc) < _DEGENERATE_TOL * scale:
-        e = 0.5 * (h.h11 + h.h22)
-        return SpinSplitResult(e_up=e.real, e_down=e.real, delta_e=0.0)
-    root = cmath.sqrt(disc)
-    if root.real < 0 or (root.real == 0 and root.imag < 0):
-        root = -root
-    e_up = 0.5 * (h.h11 + h.h22 - root)
-    e_down = 0.5 * (h.h11 + h.h22 + root)
-    return SpinSplitResult(e_up=e_up.real, e_down=e_down.real,
-                           delta_e=(e_down - e_up).real)
+    matrix scale it is degenerate: both energies are the mean diagonal.
+
+    Entries may be arrays, one matrix per point. Real entries, as
+    build_hmatrix gives, get the bits of Python's complex arithmetic; the
+    squared scale is taken by pow and raises OverflowError where it
+    overflows.
+    """
+    h11, h12, h21, h22 = (np.asarray(v, dtype=complex)
+                          for v in (h.h11, h.h12, h.h21, h.h22))
+    with np.errstate(all="ignore"):
+        disc = (h11 - h22) ** 2 + 4.0 * h12 * h21
+        # max(1, |h_ij|) as Python's max takes it: a NaN entry is passed over
+        top = functools.reduce(np.fmax, map(np.abs, (h11, h22, h12, h21)), 1.0)
+        degenerate = np.abs(disc) < _DEGENERATE_TOL * _square(top)
+        root = np.sqrt(disc)
+        root = np.where((root.real < 0) | ((root.real == 0) & (root.imag < 0)),
+                        -root, root)
+        total = h11 + h22
+        e_up = 0.5 * (total - root)
+        e_down = 0.5 * (total + root)
+        mean = (0.5 * total).real
+        return SpinSplitResult(
+            e_up=np.where(degenerate, mean, e_up.real)[()],
+            e_down=np.where(degenerate, mean, e_down.real)[()],
+            delta_e=np.where(degenerate, 0.0, (e_down - e_up).real)[()])
 
 
 def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
@@ -177,7 +226,8 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     dens -+ |off|, evaluated for the whole grid at once; this equals
     spin_split on each local HMatrix2 bit for bit, degenerate branch
     included. The log term is taken per point with math.log, because
-    np.log differs from it by 1 ulp on some arguments.
+    np.log differs from it by 1 ulp on some arguments. A chart holding a
+    value that is not finite raises ValueError naming its column.
     """
     x_values = [float(x) for x in x_values]
     for x in x_values:
@@ -196,5 +246,7 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     off = np.where(4.0 * (off * off) < _DEGENERATE_TOL * scale, 0.0, off)
     e_up = dens - off
     e_down = dens + off
+    delta_e = e_down - e_up
+    check_finite(("x", "y", "e_up", "e_down", "delta_e"), (x, y, e_up, e_down, delta_e))
     return list(zip(x.tolist(), y.tolist(), e_up.tolist(), e_down.tolist(),
-                    (e_down - e_up).tolist()))
+                    delta_e.tolist()))

@@ -75,19 +75,20 @@ class TwoQubitParams:
 
 @dataclass(frozen=True)
 class TwoQubitMatrix:
+    """The channel matrix of (h0, hr), or the stack of one matrix per point
+    when h0 and hr are arrays over the points of a sweep."""
+
     h0: float
     hr: complex
 
     @property
     def matrix(self) -> np.ndarray:
-        h0, hr = complex(self.h0), complex(self.hr)
-        return np.array(
-            [[h0, 0, hr, 0],
-             [hr, 0, h0, 0],
-             [0, h0, 0, hr],
-             [0, hr, 0, h0]],
-            dtype=complex,
-        )
+        h0, hr = np.broadcast_arrays(np.asarray(self.h0, dtype=complex),
+                                     np.asarray(self.hr, dtype=complex))
+        m = np.zeros(h0.shape + (4, 4), dtype=complex)
+        m[..., 0, 0] = m[..., 1, 2] = m[..., 2, 1] = m[..., 3, 3] = h0
+        m[..., 0, 2] = m[..., 1, 0] = m[..., 2, 3] = m[..., 3, 1] = hr
+        return m
 
 
 def _vc_radicand(p: TwoQubitParams) -> float:

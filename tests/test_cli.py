@@ -515,8 +515,28 @@ def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, column", [
+    # the claimed +-sqrt(h0^2 - hr^2) pair overflows: NaN residuals
+    (["twoqubit", "--set", "k=1e154"], "max_residual"),
+    (["twoqubit", "--set", "alpha_r=1e300"], "max_residual"),
+    # m_eff = 1e-320 makes the kinetic terms inf
+    (["source", "--set", "sweep_key=m_eff", "--set", "sweep_range=1e-320,1,3"], "e_up"),
+    (["source", "--set", "m_eff=1e-320"], "e_up"),
+    # the last value of the range, start + (stop - start) * 2 / 2, is inf
+    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1,1e308,3"], "alpha"),
+    (["channel", "--set", "n_points=201", "--set", "sweep_key=coulomb_k",
+      "--set", "sweep_range=1,1e308,3"], "coulomb_k")])
+def test_non_finite_output_fails_naming_its_column(argv, column, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = run_main(argv + ["--format", fmt, "--out", os.path.join(tmp, "o")])
+        assert rc == 1
+        assert err.splitlines()[0].endswith(f": computation failed: non-finite {column}")
+        assert os.listdir(tmp) == []
+
+
 OMEGA_SWEEP = ["channel", "--set", "sweep_key=omega", "--set", "sweep_range=0.5,2,4"]
-MISMATCH = "a = 1.0 differs from the natural-unit harmonic length 1/sqrt(omega) = "
+MISMATCH ="a = 1.0 differs from the natural-unit harmonic length 1/sqrt(omega) = "
 
 
 def test_warnings_go_to_the_sidecar_not_stderr(tmp_path):

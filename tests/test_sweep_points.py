@@ -1,0 +1,117 @@
+"""A sweep is its one-point sweeps: every target computes all the values of a
+sweep at once, and each row, each failure and each warning must come out
+as if every value had been run alone."""
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entangler.cli import main
+
+SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
+             "channel": ("omega", "coulomb_k", "g"),
+             "twoqubit": ("omega", "k", "alpha_r", "coulomb_k", "lambda"),
+             "gates": ("alpha",)}
+FLOAT_KEYS = {
+    "source": ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
+               "reg_delta"),
+    "channel": ("m_eff", "omega", "a", "coulomb_k", "fermi_l", "g"),
+    "twoqubit": ("m_eff", "omega", "a_b", "lambda", "k", "alpha_r",
+                 "coulomb_k", "fermi_l"),
+    "gates": ("alpha",),
+}
+
+# Ordinary values, and the magnitudes where squares overflow, divisions by
+# an underflowed product fail, and domain checks trip.
+VALUES = st.one_of(
+    st.floats(-2.0, 6.0),
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1e-160, 1e150, 1.5e154,
+                     1e155, 1e200, 1e300, -1e-300, -1e155, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sweeps(draw, command, key):
+    """--set lines of a sweep of key, with at most one other float key
+    moved, and the sweep's values as the CLI computes them."""
+    a, b = draw(VALUES), draw(VALUES)
+    start, stop, steps = min(a, b), max(a, b), draw(st.integers(2, 4))
+    values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    lines = []
+    others = [k for k in FLOAT_KEYS[command] if k != key]
+    if others and draw(st.booleans()):
+        lines.append(f"{draw(st.sampled_from(others))}={draw(VALUES)!r}")
+    if command == "channel":
+        lines += [f"n_points={draw(st.integers(101, 201))}",
+                  f"iterations={draw(st.integers(1, 2))}",
+                  f"include_vc={draw(st.integers(0, 1))}",
+                  f"potential={draw(st.sampled_from(['quartic', 'harmonic']))}"]
+    if command == "twoqubit":
+        lines.append(f"wave_direction={draw(st.sampled_from(['along_y', 'along_x']))}")
+    return lines, (start, stop, steps), values, draw(st.sampled_from(["csv", "json"]))
+
+
+def run_sweep(command, lines, key, sweep_range, fmt, tmp):
+    """(exit code, stderr lines, data rows as text, sidecar warnings)."""
+    out = os.path.join(tmp, "out")
+    sets = [a for line in lines + [f"sweep_key={key}", f"sweep_range={sweep_range}"]
+            for a in ("--set", line)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--format", fmt, "--out", out] + sets)
+    rows, warned = None, None
+    if rc == 0:
+        with open(out, encoding="utf-8") as fh:
+            text = fh.read()
+        if fmt == "csv":
+            rows = text.splitlines()[1:]
+        else:  # each row as it is printed, so -0 stays apart from 0
+            rows = re.findall(r"\[[^\[\]]*\]", text.split('"rows": [', 1)[1])
+        with open(out + ".manifest.json", encoding="utf-8") as fh:
+            warned = json.load(fh).get("diagnostics", {}).get("warnings", [])
+        os.remove(out)
+        os.remove(out + ".manifest.json")
+    assert os.listdir(tmp) == []  # a failing run writes nothing
+    return rc, err.getvalue().splitlines(), rows, warned
+
+
+def warning_lines(target, lines):
+    prefix = f"{target}: warning: "
+    return [line[len(prefix):] for line in lines if line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in SWEEPABLE.items()
+                                          for k in keys])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_equals_its_one_point_sweeps(command, key, data):
+    lines, (start, stop, steps), values, fmt = data.draw(sweeps(command, key))
+    # A range whose values overflow to inf has no one-point sweep to match.
+    if not all(math.isfinite(v) for v in values):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep = run_sweep(command, lines, key, f"{start!r},{stop!r},{steps}", fmt, tmp)
+        singles = []
+        for v in values:
+            singles.append(run_sweep(command, lines, key, f"{v!r},{v!r},1", fmt, tmp))
+            if singles[-1][0] != 0:
+                break
+    rc, err, rows, warned = sweep
+    first_failure = singles[-1] if singles[-1][0] != 0 else None
+    earlier = [w for s in singles if s[0] == 0 for w in s[3]]
+    if first_failure is None:
+        assert rc == 0, err
+        assert rows == [row for s in singles for row in s[2]]
+        assert warned == list(dict.fromkeys(earlier))
+    else:
+        f_rc, f_err = first_failure[:2]
+        assert (rc, err[:1]) == (f_rc, f_err[:1])
+        target = err[0].split(":", 1)[0]
+        assert warning_lines(target, err) == list(dict.fromkeys(
+            earlier + warning_lines(target, f_err)))
