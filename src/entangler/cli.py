@@ -193,6 +193,12 @@ def _resolve(spec: SweepSpec) -> dict:
                 f"sweep_range steps must be <= {MAX_SWEEP_STEPS}; got {steps}")
         if start > stop:
             raise ConfigError("sweep_range start must be <= stop")
+        # The values rise from start, so all are finite where the last one,
+        # as _sweep_values computes it, is.
+        if steps > 1 and not math.isfinite(start + (stop - start) * (steps - 1)
+                                           / (steps - 1)):
+            raise ConfigError(f"sweep_range values must be finite; "
+                              f"{_fmt(start)},{_fmt(stop)},{steps} overflows")
     target = _TARGETS[spec.target]
     schema = target.schema
     resolved = {key: default for key, (_, default, _) in schema.items()}
@@ -254,8 +260,7 @@ def _choice(*values: str) -> Callable[[str], str]:
     return caster
 
 
-def _sweep_values(spec: SweepSpec) -> list[float]:
-    start, stop, steps = spec.sweep_range
+def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
     if steps == 1:
         return [start]
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
@@ -299,32 +304,10 @@ def _rows(columns, *arrays) -> list[tuple]:
     return list(zip(*(a.tolist() for a in arrays)))
 
 
-def _first_failure(point):
-    """A point function that fails as the first of its values that fails
-    would alone. The batched kernels fail when any value does, with that
-    value's error when it is the only one; on failure the prefixes of the
-    values are bisected for the shortest one that fails, whose last value
-    is the first to fail."""
-    @functools.wraps(point)
-    def first(resolved: dict, key: str | None, values: list, state) -> list[tuple]:
-        try:
-            return point(resolved, key, values, state)
-        except Exception as exc:
-            error = exc
-        good, bad = 0, len(values)  # values[:good] pass; values[:bad] fail with error
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                point(resolved, key, values[:mid], state)
-                good = mid
-            except Exception as exc:
-                bad, error = mid, exc
-        raise error
-    return first
-
-
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
-# describes the first point of its run.
+# describes the first point of its run. A sweep fails as its first failing
+# point would alone: its values rise, the source kernels raise only for a
+# leading run of them, and check_finite names the first row that fails.
 
 _SOURCE_FIELDS = ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
                   "reg_delta")
@@ -340,7 +323,6 @@ def _source_params(resolved: dict) -> SourceParams:
     return SourceParams(**{k: resolved[k] for k in _SOURCE_FIELDS})
 
 
-@_first_failure
 def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list[tuple]:
     swept = np.array(values)
     s = spin_split(build_hmatrix(_source_params({**resolved, key: swept})))
@@ -358,8 +340,7 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
 def _channel_point(resolved: dict, key: str | None, values: list,
                    state: _RunState) -> list[tuple]:
     """One QLM run per point, in sweep order, so the first failing point
-    raises. qlm_spectrum checks that every e_n is finite; the swept value
-    is checked here, as the last step of its point."""
+    raises. qlm_spectrum checks that every e_n is finite."""
     rows = []
     profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
     for value in values:
@@ -383,10 +364,7 @@ def _channel_point(resolved: dict, key: str | None, values: list,
         if dump and dump not in state.files:
             samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
             state.files[dump] = _render_csv(("y", "l"), list(samples))
-        lead = ()
-        if key is not None:  # a sweep's last values are inf where it overflows
-            check_finite((key,), ([value],))
-            lead = (value,)
+        lead = () if key is None else (value,)
         rows += [lead + (it.n, it.e_n) for it in iterates]
     return rows
 
@@ -400,14 +378,20 @@ def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
     return build_matrix(*expectations(p))
 
 
-@_first_failure
 def _twoqubit_point(resolved: dict, key: str, values: list,
                     state: _RunState) -> list[tuple]:
-    """The matrices are built point by point, in sweep order; their
-    eigenvalues come from one stacked solve."""
+    """The matrices are built point by point, in sweep order (build_matrix
+    refuses non-finite entries); their eigenvalues come from one stacked
+    solve. A point that fails to build raises once the points before it
+    have passed."""
     h0, hr = [], []
-    for value in values:
-        m = _twoqubit_matrix({**resolved, key: value})
+    for i, value in enumerate(values):
+        try:
+            m = _twoqubit_matrix({**resolved, key: value})
+        except Exception:
+            if i:  # an earlier row that is not finite fails first
+                _twoqubit_point(resolved, key, values[:i], state)
+            raise
         h0.append(m.h0)
         hr.append(m.hr)
     m = TwoQubitMatrix(h0=np.array(h0), hr=np.array(hr))
@@ -461,8 +445,6 @@ def _gate_point(resolved: dict, key: str | None, values: list,
                      float(np.abs(u.matrix - projector).max()),
                      gate_fidelity(u, exchange_evolution_expm(alpha)))
                     + alpha_independent)
-    if key is not None:  # a sweep's last values are inf where it overflows
-        check_finite((key,), (values,))
     return rows
 
 
@@ -661,7 +643,7 @@ def run(spec: SweepSpec) -> int:
                 # a sweep's rows lead with its key; gates rows hold alpha already
                 lead = key is not None and key not in target.columns
                 columns = ((key,) if lead else ()) + target.columns
-                values = [None] if key is None else _sweep_values(spec)
+                values = [None] if key is None else _sweep_values(*spec.sweep_range)
                 rows, report = target.point(resolved, key, values, state), None
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"

@@ -71,12 +71,14 @@ def check_domain(params, positive=(), non_negative=()) -> None:
 
 
 def check_finite(names, columns) -> None:
-    """Raise ValueError("non-finite <name>") for the first of the columns
-    (arrays or lists, one per name) that holds a float that is not finite."""
-    for name, column in zip(names, columns):
-        a = np.asarray(column)
-        if a.dtype.kind in "fc" and not np.isfinite(a).all():
-            raise ValueError(f"non-finite {name}")
+    """Raise ValueError("non-finite <name>") for the first row of the columns
+    (arrays or lists, one per name) that holds a float that is not finite,
+    naming that row's first such column: the error of that row alone."""
+    bad = [(int(np.isfinite(a).argmin()), name)
+           for name, a in zip(names, map(np.asarray, columns))
+           if a.dtype.kind in "fc" and not np.isfinite(a).all()]
+    if bad:  # min keeps the first of equal rows
+        raise ValueError(f"non-finite {min(bad, key=operator.itemgetter(0))[1]}")
 
 
 class QuadratureError(RuntimeError):

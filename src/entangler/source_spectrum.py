@@ -22,9 +22,10 @@ treatment of the 2D logarithmic interaction.
 
 Any SourceParams field may hold an array, one value per point of a sweep;
 build_hmatrix and spin_split then work on every point at once, and each
-point gets the bits the scalar arithmetic gives it. A sweep with a point
-that fails raises that point's error; which point fails first is for the
-caller to find (the CLI bisects the sweep).
+point gets the bits the scalar arithmetic gives it. An overflow is inf or
+nan in its point's entries or energies, for the caller to check; the
+errors raised (domain, zero kinetic denominator, math domain in the
+log-Coulomb term) hold for a leading run of an increasing sweep's points.
 """
 from __future__ import annotations
 
@@ -101,15 +102,6 @@ def _transverse_density(p: SourceParams, x: float) -> float:
     return (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
 
 
-def _square(x):
-    """x ** 2 by Python's float power, elementwise on an array. That is C's
-    pow, which differs from x * x (numpy's square) in the last bit on some
-    doubles, and it raises OverflowError where the square overflows."""
-    if np.ndim(x):
-        return np.array([v ** 2 for v in np.asarray(x).tolist()])
-    return float(x) ** 2
-
-
 # Terms of the Si power series: at z = 2 pi the 22nd term is below 1e-20.
 _SI_TERMS = 22
 
@@ -164,18 +156,19 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 
     Si is only needed on [0, 2 pi], where its power series converges in ~20
     terms; scipy.special.sici would load scipy in every source run.
-    Array fields give array entries, each with the bits and the errors of
-    Python float arithmetic.
+    Array fields give array entries, each with the bits of Python float
+    arithmetic. Squares are np.float_power, C's pow as Python's float **
+    takes it, but a square that overflows is inf instead of OverflowError.
     """
     with np.errstate(all="ignore"):
-        l_x2 = _square(p.l_x)
+        l_x2 = np.float_power(p.l_x, 2)
         box = 2.0 * p.m_eff * l_x2
         if np.any(box == 0.0):
             raise ZeroDivisionError("float division by zero")
         kinetic_x = math.pi ** 2 / box
-        kinetic_y = _square(p.k) / (2.0 * p.m_eff)
+        kinetic_y = np.float_power(p.k, 2) / (2.0 * p.m_eff)
         # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
-        harmonic_x = (0.5 * p.m_eff * _square(p.omega) * l_x2
+        harmonic_x = (0.5 * p.m_eff * np.float_power(p.omega, 2) * l_x2
                       * (1.0 / 3.0 - 0.5 / math.pi ** 2))
         diag = np.asarray(kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p),
                           dtype=complex)[()]
@@ -186,21 +179,28 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 def spin_split(h: HMatrix2) -> SpinSplitResult:
     """Closed-form eigenvalue pair of the 2x2 matrix (energies only), reading
     the discriminant as (h11-h22)^2 + 4 h12 h21. Below 1e-14 of the squared
-    matrix scale it is degenerate: both energies are the mean diagonal.
+    matrix scale max(1, |h_ij|)^2 it is degenerate: both energies are the
+    mean diagonal.
 
-    Entries may be arrays, one matrix per point. Real entries, as
-    build_hmatrix gives, get the bits of Python's complex arithmetic; the
-    squared scale is taken by pow and raises OverflowError where it
-    overflows.
+    Entries may be arrays, one matrix per point. The arithmetic runs on the
+    entries times 2^-e, 2^e <= max(1, |h_ij|) < 2^(e+1), and the energies
+    are scaled back at the end, as LAPACK's dlaev2 scales by its largest
+    term (Blue, ACM TOMS 4 (1978) 15), so an energy is inf only where it
+    overflows itself. Real entries stay real unless the discriminant is
+    negative. Power-of-two scaling is exact: Hermitian entries get the bits
+    of Python's complex arithmetic on the unscaled matrix (other entries
+    below 2^-1022 of the largest are rounded as subnormals).
     """
-    h11, h12, h21, h22 = (np.asarray(v, dtype=complex)
-                          for v in (h.h11, h.h12, h.h21, h.h22))
     with np.errstate(all="ignore"):
-        disc = (h11 - h22) ** 2 + 4.0 * h12 * h21
         # max(1, |h_ij|) as Python's max takes it: a NaN entry is passed over
-        top = functools.reduce(np.fmax, map(np.abs, (h11, h22, h12, h21)), 1.0)
-        degenerate = np.abs(disc) < _DEGENERATE_TOL * _square(top)
-        root = np.sqrt(disc)
+        top = functools.reduce(np.fmax, map(np.abs, (h.h11, h.h22, h.h12, h.h21)), 1.0)
+        e = np.frexp(top)[1] - 1
+        down = np.ldexp(1.0, -e)
+        h11, h12, h21, h22 = (np.asarray(v) * down for v in (h.h11, h.h12, h.h21, h.h22))
+        disc = (h11 - h22) ** 2 + 4.0 * h12 * h21
+        top = top * down  # in [1, 2)
+        degenerate = np.abs(disc) < _DEGENERATE_TOL * (top * top)
+        root = np.emath.sqrt(disc)
         root = np.where((root.real < 0) | ((root.real == 0) & (root.imag < 0)),
                         -root, root)
         total = h11 + h22
@@ -208,9 +208,9 @@ def spin_split(h: HMatrix2) -> SpinSplitResult:
         e_down = 0.5 * (total + root)
         mean = (0.5 * total).real
         return SpinSplitResult(
-            e_up=np.where(degenerate, mean, e_up.real)[()],
-            e_down=np.where(degenerate, mean, e_down.real)[()],
-            delta_e=np.where(degenerate, 0.0, (e_down - e_up).real)[()])
+            e_up=np.ldexp(np.where(degenerate, mean, e_up.real), e)[()],
+            e_down=np.ldexp(np.where(degenerate, mean, e_down.real), e)[()],
+            delta_e=np.ldexp(np.where(degenerate, 0.0, (e_down - e_up).real), e)[()])
 
 
 def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
@@ -222,10 +222,8 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     the regularized log term, all weighted by |phi(x)|^2; the off-diagonal
     density is alpha k |phi(x)|^2.
 
-    The local matrix has equal diagonals, so its eigenvalues are
-    dens -+ |off|, evaluated for the whole grid at once; this equals
-    spin_split on each local HMatrix2 bit for bit, degenerate branch
-    included. The log term is taken per point with math.log, because
+    The energies are spin_split of the local HMatrix2 arrays, one matrix
+    per grid point. The log term is taken per point with math.log, because
     np.log differs from it by 1 ulp on some arguments. A chart holding a
     value that is not finite raises ValueError naming its column.
     """
@@ -241,12 +239,9 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
     log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
     dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y) + log_term) * weight
-    off = np.abs(p.alpha_r * p.k * weight)
-    scale = np.maximum(np.maximum(1.0, np.abs(dens)), off) ** 2
-    off = np.where(4.0 * (off * off) < _DEGENERATE_TOL * scale, 0.0, off)
-    e_up = dens - off
-    e_down = dens + off
-    delta_e = e_down - e_up
-    check_finite(("x", "y", "e_up", "e_down", "delta_e"), (x, y, e_up, e_down, delta_e))
-    return list(zip(x.tolist(), y.tolist(), e_up.tolist(), e_down.tolist(),
-                    delta_e.tolist()))
+    off = p.alpha_r * p.k * weight
+    s = spin_split(HMatrix2(h11=dens, h12=off, h21=off, h22=dens))
+    check_finite(("x", "y", "e_up", "e_down", "delta_e"),
+                 (x, y, s.e_up, s.e_down, s.delta_e))
+    return list(zip(x.tolist(), y.tolist(), s.e_up.tolist(), s.e_down.tolist(),
+                    s.delta_e.tolist()))

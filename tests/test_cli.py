@@ -18,6 +18,7 @@ from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
                            SweepSpec, main, parse_config, run)
 from entangler.gates import u_swap_alpha
+from entangler.source_spectrum import SourceParams, build_hmatrix
 from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
                                         claimed_vs_numeric, expectations)
 
@@ -522,17 +523,66 @@ def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
     (["twoqubit", "--set", "alpha_r=1e300"], "max_residual"),
     # m_eff = 1e-320 makes the kinetic terms inf
     (["source", "--set", "sweep_key=m_eff", "--set", "sweep_range=1e-320,1,3"], "e_up"),
-    (["source", "--set", "m_eff=1e-320"], "e_up"),
-    # the last value of the range, start + (stop - start) * 2 / 2, is inf
-    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1,1e308,3"], "alpha"),
-    (["channel", "--set", "n_points=201", "--set", "sweep_key=coulomb_k",
-      "--set", "sweep_range=1,1e308,3"], "coulomb_k")])
+    (["source", "--set", "m_eff=1e-320"], "e_up")])
 def test_non_finite_output_fails_naming_its_column(argv, column, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         rc, err = run_main(argv + ["--format", fmt, "--out", os.path.join(tmp, "o")])
         assert rc == 1
         assert err.splitlines()[0].endswith(f": computation failed: non-finite {column}")
         assert os.listdir(tmp) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, shown", [
+    # the last value of the range, start + (stop - start) * 2 / 2, is inf
+    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1,1e308,3"],
+     "1,1e+308,3"),
+    (["channel", "--set", "n_points=201", "--set", "sweep_key=coulomb_k",
+      "--set", "sweep_range=1,1e308,3"], "1,1e+308,3"),
+    # stop - start is inf, so the first value, start + inf * 0 / 2, is nan
+    (["source", "--set", "sweep_key=k", "--set", "sweep_range=-1e308,1e308,3"],
+     "-1e+308,1e+308,3")])
+def test_sweep_range_with_non_finite_values_is_a_config_error(argv, shown, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = run_main(argv + ["--format", fmt, "--out", os.path.join(tmp, "o")])
+        assert rc == 2
+        assert err.splitlines() == [
+            f"config error: sweep_range values must be finite; {shown} overflows"]
+        assert os.listdir(tmp) == []
+
+
+def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
+    """At m_eff = 1e-200 the diagonal is near 1e200: its square overflows,
+    the energies do not, and both runs take the degenerate branch of the
+    one spin_split, since 2 alpha_r k is far below 1e-7 of the diagonal."""
+    chart, sweep = tmp_path / "chart.csv", tmp_path / "sweep.csv"
+    assert run_main(["source", "--set", "m_eff=1e-200", "--out", str(chart)]) == (0, "")
+    assert run_main(["source", "--set", "sweep_key=m_eff", "--set",
+                     "sweep_range=1e-200,1e-200,1", "--out", str(sweep)]) == (0, "")
+    for out in (chart, sweep):
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert rows and all(r[-1] == "0" and 1e199 < float(r[-3]) < 1e201 for r in rows)
+        sidecar = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert "diagnostics" not in sidecar
+
+
+def test_twoqubit_sweep_fails_as_its_first_point_before_a_later_build_failure():
+    """The first point builds but its eigenvalue h0 + hr overflows; the
+    second does not build (k^2 overflows). The sweep fails as the first."""
+    base = ["twoqubit", "--set", "lambda=3.8e-155", "--set", "alpha_r=1e158",
+            "--set", "sweep_key=k", "--out", os.devnull]
+    first = run_main(base + ["--set", "sweep_range=1e150,1e150,1"])
+    second = run_main(base + ["--set", "sweep_range=2e154,2e154,1"])
+    assert first == (1, "twoqubit_eigen: computation failed: non-finite e4_re\n")
+    assert second == (1, "twoqubit_eigen: computation failed: floating-point overflow\n")
+    assert run_main(base + ["--set", "sweep_range=1e150,2e154,2"]) == first
+
+
+def test_widest_finite_sweep_range_runs():
+    # the last value of 1,1e308,2 is 1 + (1e308 - 1) * 1 / 1, which is finite
+    rc, err = run_main(["gates", "--set", "sweep_key=alpha",
+                        "--set", "sweep_range=1,1e308,2", "--out", os.devnull])
+    assert (rc, err) == (0, "")
 
 
 OMEGA_SWEEP = ["channel", "--set", "sweep_key=omega", "--set", "sweep_range=0.5,2,4"]
@@ -939,6 +989,40 @@ def test_property_twoqubit_in_domain_succeeds(lines):
         sets = [a for line in lines for a in ("--set", line)]
         rc, err = run_main(["twoqubit", "--out", os.path.join(tmp, "out.csv")]
                            + sets)
+        assert rc in (0, 2), err
+
+
+@st.composite
+def source_sweeps(draw):
+    """(params, k range): every float key of magnitude in [1e-100, 1e100],
+    log-uniform (beta and alpha_r may be 0), l_x and reg_delta the larger
+    and the smaller of two such, and a 2-point k sweep of either sign."""
+    magnitude = st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e)
+    signed = st.builds(lambda v, sign: sign * v, magnitude, st.sampled_from([1.0, -1.0]))
+    params = {key: draw(magnitude) for key in ("m_eff", "omega", "r_coulomb")}
+    for key in ("beta", "alpha_r"):
+        params[key] = draw(st.one_of(st.just(0.0), magnitude))
+    params["reg_delta"], params["l_x"] = sorted([draw(magnitude), draw(magnitude)])
+    return params, tuple(sorted([draw(signed), draw(signed)]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(source_sweeps())
+def test_property_source_in_domain_succeeds(case):
+    """A source sweep either fails a domain check (exit 2) or succeeds;
+    it exits 1 only where an entry of a point's matrix is not finite."""
+    params, (start, stop) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = [a for k, v in params.items() for a in ("--set", f"{k}={v!r}")]
+        rc, err = run_main(["source", "--out", os.path.join(tmp, "out.csv"), *sets,
+                            "--set", "sweep_key=k",
+                            "--set", f"sweep_range={start!r},{stop!r},2"])
+    if rc == 1:
+        ks = np.array([start, start + (stop - start)])  # the values the CLI sweeps
+        h = build_hmatrix(SourceParams(**params, k=ks))
+        assert not all(np.isfinite(v).all() for v in (h.h11, h.h12, h.h21, h.h22)), err
+        assert err.endswith(": computation failed: non-finite e_up\n"), err
+    else:
         assert rc in (0, 2), err
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entangler.numerics import (DomainError, Grid1D, QuadratureError,
-                                check_domain, eigen_small, erfcx, integrate,
-                                is_hermitian)
+                                check_domain, check_finite, eigen_small, erfcx,
+                                integrate, is_hermitian)
 from fd_oracle import fd_schrodinger_oracle
 
 # Oracle constants, computed independently before the build:
@@ -274,3 +274,16 @@ class TestCheckDomain:
     def test_in_domain_passes(self):
         check_domain(SimpleNamespace(a=1e-300, c=0.0),
                      positive=("a",), non_negative=("c",))
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("columns, name", [
+        # the first failing row decides, not the first failing column
+        (([1.0, math.inf], [math.nan, 1.0]), "b"),
+        # within that row, the first of its failing columns
+        (([1.0, math.inf], [1.0, -math.inf], [2.0, 3.0]), "a"),
+        ((np.array([1.0, 2.0]), np.array([1j, complex(math.inf, 0)]), [0, 1]), "b"),
+    ])
+    def test_names_the_first_failing_row(self, columns, name):
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            check_finite("abc", columns)

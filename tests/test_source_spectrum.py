@@ -205,6 +205,8 @@ def chart_cases():
               for a in (0.0, 1e-12, 3e-9, 1e-7)]
     cases += [SourceParams(**{**DEFAULTS, "k": -1.3}),
               SourceParams(**{**DEFAULTS, "beta": 0.0})]
+    # densities near 1e200, whose squares overflow: spin_split scales first
+    cases += [SourceParams(**{**DEFAULTS, "m_eff": 1e-200})]
     return cases
 
 
