@@ -193,12 +193,6 @@ def _resolve(spec: SweepSpec) -> dict:
                 f"sweep_range steps must be <= {MAX_SWEEP_STEPS}; got {steps}")
         if start > stop:
             raise ConfigError("sweep_range start must be <= stop")
-        # The values rise from start, so all are finite where the last one,
-        # as _sweep_values computes it, is.
-        if steps > 1 and not math.isfinite(start + (stop - start) * (steps - 1)
-                                           / (steps - 1)):
-            raise ConfigError(f"sweep_range values must be finite; "
-                              f"{_fmt(start)},{_fmt(stop)},{steps} overflows")
     target = _TARGETS[spec.target]
     schema = target.schema
     resolved = {key: default for key, (_, default, _) in schema.items()}
@@ -261,17 +255,25 @@ def _choice(*values: str) -> Callable[[str], str]:
 
 
 def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
+    """start + (stop - start) * i / (steps - 1), ending at stop. A value that
+    overflows is taken on the range scaled by 2^-s, steps < 2^(s-1), so none do."""
     if steps == 1:
         return [start]
-    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    values = [start + (stop - start) * i / (steps - 1) for i in range(steps - 1)]
+    down = math.ldexp(1.0, -steps.bit_length() - 1)
+    a, b = start * down, stop * down
+    return [v if math.isfinite(v) else (a + (b - a) * i / (steps - 1)) / down
+            for i, v in enumerate(values)] + [stop]
 
 
 # Output text of each value kind: ints (and bools, in CSV) as %d, floats at
-# 17 significant digits; JSON spells bools true/false.
+# 17 significant digits, text as is; JSON spells bools true/false.
 _JSON_BOOL = ("false", "true")
 
 
 def _field(v) -> str:
+    if isinstance(v, str):
+        return "%s"
     return "%d" if isinstance(v, (int, np.integer)) else "%.17g"
 
 
@@ -334,7 +336,11 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     n = resolved["x_count"]
     x_values = [p.l_x * (i + 1) / (n + 1) for i in range(n)]
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
-    return chart_delta_e(p, x_values, grid), None
+    s = chart_delta_e(p, x_values, grid)
+    ys = [_fmt(y) for y in grid.points().tolist()]
+    xs = [x for x in map(_fmt, x_values) for _ in ys]
+    return list(zip(xs, ys * n, s.e_up.tolist(), s.e_down.tolist(),
+                    s.delta_e.tolist())), None
 
 
 def _channel_point(resolved: dict, key: str | None, values: list,
@@ -553,7 +559,7 @@ def _manifest(spec: SweepSpec, resolved: dict) -> dict:
         params["sweep_key"] = spec.sweep_key
         params["sweep_range"] = f"{_fmt(start)},{_fmt(stop)},{steps}"
     for key, value in resolved.items():
-        params[key] = _fmt(value) if isinstance(value, (int, float)) else str(value)
+        params[key] = _fmt(value)
     params = dict(sorted(params.items()))
     text = "".join(f"{k}={v}\n" for k, v in params.items())
     return {"input_hash": sha256(text.encode("utf-8")).hexdigest(),

@@ -14,7 +14,8 @@ built two ways:
   (x, y), which is what a splitting map over the lead area means. For the
   real transverse profile the symmetrized transverse momentum density
   vanishes, so the local off-diagonal is alpha k |phi(x)|^2 and the local
-  splitting 2 alpha |k| |phi(x)|^2 varies across the lead width.
+  splitting 2 alpha |k| |phi(x)|^2 varies across the lead width. The map
+  is spin_split's arrays over the grid points, without their (x, y).
 
 The log singularity at x = y is handled as -beta ln(|x - y| / R) with an
 exclusion window of half-width reg_delta, the standard principal-value
@@ -90,7 +91,7 @@ class HMatrix2:
 @dataclass(frozen=True)
 class SpinSplitResult:
     """Spin-up and spin-down energies of the lead and their splitting;
-    arrays for a sweep."""
+    arrays for a sweep or over a chart grid."""
 
     e_up: float
     e_down: float
@@ -213,9 +214,9 @@ def spin_split(h: HMatrix2) -> SpinSplitResult:
             delta_e=np.ldexp(np.where(degenerate, 0.0, (e_down - e_up).real), e)[()])
 
 
-def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
-    """Local splitting map over the lead: one row (x, y, e_up, e_down,
-    delta_e) per grid point, row-major over x then y.
+def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
+    """Local splitting map over the lead: spin_split's arrays over the grid
+    points, row-major over x then y.
 
     Uses symmetrized energy densities at each point: the common diagonal
     density carries the kinetic constants plus (m* w^2 / 2)(x^2 + y^2) and
@@ -223,25 +224,27 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> list[tuple]:
     density is alpha k |phi(x)|^2.
 
     The energies are spin_split of the local HMatrix2 arrays, one matrix
-    per grid point. The log term is taken per point with math.log, because
-    np.log differs from it by 1 ulp on some arguments. A chart holding a
-    value that is not finite raises ValueError naming its column.
+    per grid point; squares are np.float_power, as in build_hmatrix. The
+    log term is taken per point with math.log, because np.log differs from
+    it by 1 ulp on some arguments. A chart holding a value that is not
+    finite raises ValueError naming its column (x, y or an energy).
     """
     x_values = [float(x) for x in x_values]
     for x in x_values:
         if not 0.0 < x < p.l_x:
             raise ValueError(f"x = {x} outside the open interval (0, {p.l_x})")
-    kinetic = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2) + p.k ** 2 / (2.0 * p.m_eff)
+    with np.errstate(over="ignore"):  # a square that overflows is inf
+        l_x2, k2, omega2 = map(float, np.float_power((p.l_x, p.k, p.omega), 2))
+    kinetic = math.pi ** 2 / (2.0 * p.m_eff * l_x2) + k2 / (2.0 * p.m_eff)
     ys = y_grid.points()
     x = np.repeat(x_values, len(ys))
     y = np.tile(ys, len(x_values))
     weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
     ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
     log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
-    dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y) + log_term) * weight
+    dens = (kinetic + 0.5 * p.m_eff * omega2 * (x * x + y * y) + log_term) * weight
     off = p.alpha_r * p.k * weight
     s = spin_split(HMatrix2(h11=dens, h12=off, h21=off, h22=dens))
     check_finite(("x", "y", "e_up", "e_down", "delta_e"),
                  (x, y, s.e_up, s.e_down, s.delta_e))
-    return list(zip(x.tolist(), y.tolist(), s.e_up.tolist(), s.e_down.tolist(),
-                    s.delta_e.tolist()))
+    return s

@@ -502,7 +502,7 @@ def test_channel_overflow_fails_with_one_stderr_line(tmp_path, setting):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [["source", "--set", "k=1e200"],
+@pytest.mark.parametrize("argv", [["twoqubit", "--set", "k=1e200"],
                                   ["channel", "--set", "omega=1e200"],
                                   ["twoqubit", "--set", "a_b=1e200"]])
 def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
@@ -523,7 +523,10 @@ def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
     (["twoqubit", "--set", "alpha_r=1e300"], "max_residual"),
     # m_eff = 1e-320 makes the kinetic terms inf
     (["source", "--set", "sweep_key=m_eff", "--set", "sweep_range=1e-320,1,3"], "e_up"),
-    (["source", "--set", "m_eff=1e-320"], "e_up")])
+    (["source", "--set", "m_eff=1e-320"], "e_up"),
+    # k^2 overflows to inf, in the chart as in its one-point sweep
+    (["source", "--set", "k=1e200"], "e_up"),
+    (["source", "--set", "sweep_key=k", "--set", "sweep_range=1e200,1e200,1"], "e_up")])
 def test_non_finite_output_fails_naming_its_column(argv, column, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         rc, err = run_main(argv + ["--format", fmt, "--out", os.path.join(tmp, "o")])
@@ -533,22 +536,30 @@ def test_non_finite_output_fails_naming_its_column(argv, column, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv, shown", [
-    # the last value of the range, start + (stop - start) * 2 / 2, is inf
-    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1,1e308,3"],
-     "1,1e+308,3"),
+@pytest.mark.parametrize("argv, code, last", [
+    # start + (stop - start) * 2 / 2 is inf: the last value is stop itself
+    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1,1e308,3"], 0, "1e+308"),
     (["channel", "--set", "n_points=201", "--set", "sweep_key=coulomb_k",
-      "--set", "sweep_range=1,1e308,3"], "1,1e+308,3"),
-    # stop - start is inf, so the first value, start + inf * 0 / 2, is nan
-    (["source", "--set", "sweep_key=k", "--set", "sweep_range=-1e308,1e308,3"],
-     "-1e+308,1e+308,3")])
-def test_sweep_range_with_non_finite_values_is_a_config_error(argv, shown, fmt):
+      "--set", "sweep_range=1,1e308,3"], 0, "1e+308"),
+    # (stop - start) * i overflows: interior values on the range scaled by 2^-s
+    (["gates", "--set", "sweep_key=alpha", "--set", "sweep_range=1e300,1.7e308,3"],
+     0, "1.6999999999999999e+308"),
+    # stop - start is inf; every value is finite, but k^2 is not
+    (["source", "--set", "sweep_key=k", "--set", "sweep_range=-1e308,1e308,3"], 1, None)])
+def test_sweep_range_with_finite_endpoints_runs_to_its_stop(argv, code, last, fmt):
     with tempfile.TemporaryDirectory() as tmp:
-        rc, err = run_main(argv + ["--format", fmt, "--out", os.path.join(tmp, "o")])
-        assert rc == 2
-        assert err.splitlines() == [
-            f"config error: sweep_range values must be finite; {shown} overflows"]
-        assert os.listdir(tmp) == []
+        out = os.path.join(tmp, "o")
+        rc, err = run_main(argv + ["--format", fmt, "--out", out])
+        assert rc == code, err
+        if code:
+            assert err == "source_delta_e: computation failed: non-finite e_up\n"
+            assert os.listdir(tmp) == []
+            return
+        text = Path(out).read_text()
+        if fmt == "csv":
+            assert text.splitlines()[-1].split(",")[0] == last
+        else:
+            assert json.loads(text)["rows"][-1][0] == float(last)
 
 
 def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
@@ -579,7 +590,7 @@ def test_twoqubit_sweep_fails_as_its_first_point_before_a_later_build_failure():
 
 
 def test_widest_finite_sweep_range_runs():
-    # the last value of 1,1e308,2 is 1 + (1e308 - 1) * 1 / 1, which is finite
+    # the last value of 1,1e308,2 is stop
     rc, err = run_main(["gates", "--set", "sweep_key=alpha",
                         "--set", "sweep_range=1,1e308,2", "--out", os.devnull])
     assert (rc, err) == (0, "")
@@ -716,6 +727,9 @@ def reference_json(v):
 
 RENDER_CASES = [
     ["source"],
+    # y values printed in exponent form, and the smallest chart
+    ["source", "--set", "y_min=-3e-5", "--set", "y_max=3e-5", "--set", "y_points=7"],
+    ["source", "--set", "x_count=1", "--set", "y_points=3"],
     ["source", "--set", "sweep_key=alpha_r", "--set", "sweep_range=0,1,4"],
     ["channel", "--set", "n_points=401"],
     ["channel", "--set", "n_points=401", "--set", "sweep_key=g",
@@ -727,9 +741,24 @@ RENDER_CASES = [
 ]
 
 
+def chart_points(args):
+    """The (x, y) floats of a chart's rows, row-major, from its --set pairs:
+    x_count interior cross-sections l_x (i + 1) / (x_count + 1), y on the
+    uniform grid."""
+    r = {"l_x": math.pi, "x_count": 5, "y_min": -2.0, "y_max": 2.0, "y_points": 21}
+    for pair in (args[i + 1] for i, a in enumerate(args) if a == "--set"):
+        key, value = pair.split("=")
+        r[key] = type(r[key])(value)
+    n = r["x_count"]
+    return [(r["l_x"] * (i + 1) / (n + 1), y) for i in range(n)
+            for y in np.linspace(r["y_min"], r["y_max"], r["y_points"]).tolist()]
+
+
 def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
     """Every target, defaults and one sweep, CSV and JSON: the rendered text
-    equals a per-value format(v, ".17g") rendering of the same table."""
+    equals a per-value format(v, ".17g") rendering of the same table. A
+    chart's x and y cells come as text: each must be format(v, ".17g") of
+    the grid value it stands for, which the reference then renders."""
     tables = []
     for name in ("_render_csv", "_render_json"):
         original = getattr(cli, name)
@@ -745,13 +774,19 @@ def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
             tables.clear()
             assert main(args + ["--format", fmt, "--out", str(out)]) == 0
             (table_args, kwargs), = tables
+            rows = table_args[-1]
+            if rows and isinstance(rows[0][0], str):
+                points = chart_points(args)
+                assert [r[:2] for r in rows] == [
+                    (format(x, ".17g"), format(y, ".17g")) for x, y in points]
+                rows = [xy + tuple(r[2:]) for xy, r in zip(points, rows)]
             if fmt == "csv":
-                columns, rows = table_args
+                columns = table_args[0]
                 expected = "".join(
                     ",".join(line) + "\n" for line in
                     [columns] + [[reference_value(v, False) for v in r] for r in rows])
             else:
-                manifest, columns, rows = table_args
+                manifest, columns = table_args[:2]
                 head = {"manifest": {
                     "input_hash": manifest["input_hash"],
                     "resolved_parameters": dict(sorted(
@@ -766,7 +801,7 @@ def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
                 expected = reference_json(payload) + "\n"
             kinds.update(type(v) for r in rows for v in r)
             assert out.read_text(encoding="utf-8") == expected, (args, fmt)
-    assert {bool, int, float} <= kinds
+    assert {bool, int, float} <= kinds and str not in kinds
 
 
 _IMPORT_PROBE = """

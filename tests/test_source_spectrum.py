@@ -140,45 +140,55 @@ class TestChartDeltaE:
     GRID = Grid1D(-1.0, 1.0, 5)
 
     def test_zero_without_rashba(self):
-        rows = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": 0.0}),
-                             [1.0, 2.0], self.GRID)
-        assert all(r[4] == 0.0 for r in rows)
+        s = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": 0.0}),
+                          [1.0, 2.0], self.GRID)
+        assert (s.delta_e == 0.0).all()
 
     def test_linear_in_alpha(self):
         xs = [0.5, 1.0, 1.5, 2.0, 2.5]
         lo = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": 0.1}), xs, self.GRID)
         hi = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": 0.2}), xs, self.GRID)
-        for r1, r2 in zip(lo, hi):
-            assert r2[4] == pytest.approx(2.0 * r1[4], abs=1e-13)
+        np.testing.assert_allclose(hi.delta_e, 2.0 * lo.delta_e, rtol=0, atol=1e-13)
 
     def test_row_count_and_order(self):
         xs = [0.5, 1.5, 2.5]
-        rows = chart_delta_e(SourceParams(**DEFAULTS), xs, self.GRID)
-        assert len(rows) == len(xs) * self.GRID.n_points
-        assert [r[0] for r in rows[:5]] == [0.5] * 5
-        assert [r[1] for r in rows[:5]] == list(self.GRID.points())
+        p = SourceParams(**DEFAULTS)
+        s = chart_delta_e(p, xs, self.GRID)
+        n = self.GRID.n_points
+        for column in (s.e_up, s.e_down, s.delta_e):
+            assert column.shape == (len(xs) * n,)
+        # row-major: the rows of x_i are the chart of x_i alone
+        for i, x in enumerate(xs):
+            alone = chart_delta_e(p, [x], self.GRID)
+            assert s.e_up[i * n:(i + 1) * n].tolist() == alone.e_up.tolist()
+            assert s.delta_e[i * n:(i + 1) * n].tolist() == alone.delta_e.tolist()
 
     def test_splitting_non_negative_and_x_dependent(self):
-        rows = chart_delta_e(SourceParams(**DEFAULTS), [0.3, math.pi / 2.0],
-                             self.GRID)
-        assert all(r[4] >= 0.0 for r in rows)
-        assert rows[0][4] != rows[-1][4]
+        s = chart_delta_e(SourceParams(**DEFAULTS), [0.3, math.pi / 2.0], self.GRID)
+        assert (s.delta_e >= 0.0).all()
+        assert s.delta_e[0] != s.delta_e[-1]
 
     def test_monotone_in_alpha(self):
         values = []
         for alpha in (0.0, 0.1, 0.2, 0.4):
-            rows = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": alpha}),
-                                 [1.0], Grid1D(-1.0, 1.0, 3))
-            values.append(rows[0][4])
+            s = chart_delta_e(SourceParams(**{**DEFAULTS, "alpha_r": alpha}),
+                              [1.0], Grid1D(-1.0, 1.0, 3))
+            values.append(s.delta_e[0])
         assert values == sorted(values)
 
     def test_rejects_x_outside_width(self):
         with pytest.raises(ValueError):
             chart_delta_e(SourceParams(**DEFAULTS), [math.pi], self.GRID)
 
+    def test_non_finite_energy_names_its_column(self):
+        # k^2 overflows to inf, as in build_hmatrix, instead of raising
+        with pytest.raises(ValueError, match="^non-finite e_up$"):
+            chart_delta_e(SourceParams(**{**DEFAULTS, "k": 1e200}), [1.0], self.GRID)
+
 
 def per_point_chart(p, x_values, grid):
-    """Reference chart: spin_split on each local HMatrix2, log term by math.log."""
+    """Reference chart: spin_split on each local HMatrix2, log term by math.log;
+    one (e_up, e_down, delta_e) row per point, row-major over x then y."""
     kinetic = math.pi ** 2 / (2.0 * p.m_eff * p.l_x ** 2) + p.k ** 2 / (2.0 * p.m_eff)
     rows = []
     for x in x_values:
@@ -190,7 +200,7 @@ def per_point_chart(p, x_values, grid):
                     + log_term) * weight
             s = spin_split(HMatrix2(h11=complex(dens), h12=off,
                                     h21=off.conjugate(), h22=complex(dens)))
-            rows.append((x, float(y), s.e_up, s.e_down, s.delta_e))
+            rows.append((s.e_up, s.e_down, s.delta_e))
     return rows
 
 
@@ -215,16 +225,17 @@ def test_chart_equals_per_point_spin_split_bit_for_bit(case):
     p = chart_cases()[case]
     xs = [p.l_x * (i + 1) / 8 for i in range(7)]
     grid = Grid1D(-2.0, 2.0, 41)
-    rows = chart_delta_e(p, xs, grid)
+    s = chart_delta_e(p, xs, grid)
+    assert all(a.dtype == np.float64 for a in (s.e_up, s.e_down, s.delta_e))
+    rows = zip(s.e_up.tolist(), s.e_down.tolist(), s.delta_e.tolist())
     expected = per_point_chart(p, xs, grid)
     assert [tuple(v.hex() for v in r) for r in rows] == \
-        [tuple(v.hex() for v in r) for r in expected]
-    assert all(type(v) is float for r in rows for v in r)
+        [tuple(float(v).hex() for v in r) for r in expected]
 
 
 def test_chart_degenerate_threshold_crossed_inside():
     p = SourceParams(**{**DEFAULTS, "alpha_r": 1e-7})
-    rows = chart_delta_e(p, [p.l_x * (i + 1) / 8 for i in range(7)],
-                         Grid1D(-2.0, 2.0, 41))
-    zero = sum(r[4] == 0.0 for r in rows)
-    assert 0 < zero < len(rows)
+    s = chart_delta_e(p, [p.l_x * (i + 1) / 8 for i in range(7)],
+                      Grid1D(-2.0, 2.0, 41))
+    zero = int((s.delta_e == 0.0).sum())
+    assert 0 < zero < len(s.delta_e)

@@ -12,7 +12,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entangler.cli import main
+from entangler.cli import MAX_SWEEP_STEPS, _sweep_values, main
 
 SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
              "channel": ("omega", "coulomb_k", "g"),
@@ -42,7 +42,7 @@ def sweeps(draw, command, key):
     moved, and the sweep's values as the CLI computes them."""
     a, b = draw(VALUES), draw(VALUES)
     start, stop, steps = min(a, b), max(a, b), draw(st.integers(2, 4))
-    values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+    values = _sweep_values(start, stop, steps)
     lines = []
     others = [k for k in FLOAT_KEYS[command] if k != key]
     if others and draw(st.booleans()):
@@ -92,9 +92,6 @@ def warning_lines(target, lines):
 @given(data=st.data())
 def test_sweep_equals_its_one_point_sweeps(command, key, data):
     lines, (start, stop, steps), values, fmt = data.draw(sweeps(command, key))
-    # A range whose values overflow to inf has no one-point sweep to match.
-    if not all(math.isfinite(v) for v in values):
-        return
     with tempfile.TemporaryDirectory() as tmp:
         sweep = run_sweep(command, lines, key, f"{start!r},{stop!r},{steps}", fmt, tmp)
         singles = []
@@ -115,3 +112,22 @@ def test_sweep_equals_its_one_point_sweeps(command, key, data):
         target = err[0].split(":", 1)[0]
         assert warning_lines(target, err) == list(dict.fromkeys(
             earlier + warning_lines(target, f_err)))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=FINITE, b=FINITE, steps=st.one_of(st.integers(1, 50),
+                                          st.integers(1, MAX_SWEEP_STEPS)))
+def test_sweep_values_end_at_stop_and_keep_the_formula_where_finite(a, b, steps):
+    start, stop = min(a, b), max(a, b)
+    values = _sweep_values(start, stop, steps)
+    assert len(values) == steps and values[0] == start
+    assert values[-1] == (stop if steps > 1 else start)
+    assert all(math.isfinite(v) for v in values)
+    assert values == sorted(values)
+    for i, v in enumerate(values[:-1]):
+        formula = start + (stop - start) * i / (steps - 1)
+        if math.isfinite(formula):
+            assert v.hex() == formula.hex()

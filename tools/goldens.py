@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Golden diff: run a fixed corpus of entangler commands on a git revision
+and on the working tree, and print the runs whose results differ.
+
+    python3 tools/goldens.py REV
+
+REV (for example HEAD~) is checked out into a temporary `git worktree`,
+which is removed afterwards. Each run is a fresh interpreter calling
+entangler.cli.main, with PYTHONPATH set to one side's src/, in an empty
+directory of its own; two run at a time. A run's result is its exit code,
+stdout, stderr and every file it wrote, with the sidecar timestamp masked
+wherever it appears. The differing runs are printed grouped by target,
+each with what changed.
+Exit code 0 when every run matches, 1 when some differ, 2 on a bad REV.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = "import sys; from entangler.cli import main; sys.exit(main())"
+TIMEOUT_S = 300
+JOBS = 2
+TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+# In-domain start,stop of every sweepable key, and the --set pairs its runs add.
+SWEEPS = {
+    "source": {"m_eff": ("0.5,2", ()), "omega": ("0.5,2", ()), "beta": ("0,1", ()),
+               "alpha_r": ("0,1", ()), "l_x": ("2,4", ()), "k": ("-1,2", ())},
+    "channel": {"omega": ("0.5,2", ("n_points=401",)),
+                "coulomb_k": ("0,1", ("n_points=401", "include_vc=1")),
+                "g": ("0.5,1.5", ("n_points=401",))},
+    "twoqubit": {"omega": ("0.5,2", ()), "k": ("0,2", ()), "alpha_r": ("0,1", ()),
+                 "coulomb_k": ("0,1", ()), "lambda": ("0.5,1.25", ())},
+    "gates": {"alpha": ("0,6.283185307179586", ())},
+}
+# A range whose formula start + (stop - start) * i / (steps - 1) ends 1 ulp
+# past stop, and finite ranges where it overflows.
+EXTREME_RANGES = ("-1.6980278140200147,3.9001089761289887,24", "1,1e308,3",
+                  "1e300,1.7e308,3", "-1e308,1e308,3")
+
+
+def _sets(*pairs: str) -> list[str]:
+    return [a for pair in pairs for a in ("--set", pair)]
+
+
+def corpus() -> list[tuple[str, list[str]]]:
+    """(name, argv) of every run, in a fixed order; a name starts with its
+    command. Runs that write a file write it as "out" in their directory."""
+    runs = []
+    for command in SWEEPS:
+        for fmt in ("csv", "json"):
+            runs.append((f"{command} default {fmt} file",
+                         [command, "--format", fmt, "--out", "out"]))
+            runs.append((f"{command} default {fmt} stdout", [command, "--format", fmt]))
+    for nx, ny in ((1, 1), (3, 401), (50, 401)):
+        for fmt in ("csv", "json"):
+            runs.append((f"source chart {nx}x{ny} {fmt}",
+                         ["source", "--format", fmt, "--out", "out"]
+                         + _sets(f"x_count={nx}", f"y_points={ny}")))
+    for command, keys in SWEEPS.items():
+        for key, (span, extra) in keys.items():
+            for steps in (1, 3, 11):
+                runs.append((f"{command} sweep {key} {span},{steps}",
+                             [command, "--out", "out"] + _sets(
+                                 *extra, f"sweep_key={key}", f"sweep_range={span},{steps}")))
+    for fmt in ("csv", "json"):
+        runs.append((f"channel dump_l {fmt}", ["channel", "--format", fmt, "--out", "out"]
+                     + _sets("n_points=401", "dump_l=l.csv")))
+        runs.append((f"gates dump_matrix {fmt}", ["gates", "--format", fmt, "--out", "out"]
+                     + _sets("dump_matrix=m.txt")))
+    runs.append(("source chart k=1e200", ["source", "--out", "out"] + _sets("k=1e200")))
+    for command, keys in SWEEPS.items():
+        for key, (_, extra) in keys.items():
+            for span in EXTREME_RANGES:
+                runs.append((f"{command} sweep {key} {span}", [command, "--out", "out"]
+                             + _sets(*extra, f"sweep_key={key}", f"sweep_range={span}")))
+    return runs
+
+
+def run_one(src: Path, argv: list[str]) -> dict:
+    """Exit code, stdout, stderr and written files of one run, timestamps masked."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=TIMEOUT_S)
+        files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())}
+    return {"exit": proc.returncode, "stdout": _mask(proc.stdout),
+            "stderr": _mask(proc.stderr),
+            **{f"file {name}": _mask(data) for name, data in files.items()}}
+
+
+def _mask(data: bytes) -> bytes:
+    return TIMESTAMP.sub(b'"timestamp": "*"', data)
+
+
+def _first_line_diff(old: bytes, new: bytes) -> str:
+    for a, b in zip(old.splitlines(), new.splitlines()):
+        if a != b:
+            return f"{a[:100]!r} -> {b[:100]!r}"
+    return f"{len(old.splitlines())} -> {len(new.splitlines())} lines"
+
+
+def describe(old: dict, new: dict) -> list[str]:
+    """What differs between two results of one run, one line per part."""
+    lines = []
+    for part in sorted(set(old) | set(new), key=lambda p: (p != "exit", p)):
+        a, b = old.get(part), new.get(part)
+        if a == b:
+            continue
+        if part == "exit":
+            lines.append(f"exit {a} -> {b}")
+        elif a is None or b is None:
+            lines.append(f"{part}: {'written' if a is None else 'not written'}")
+        else:
+            lines.append(f"{part}: {_first_line_diff(a, b)}")
+    return lines
+
+
+def compare(old_src: Path, new_src: Path, runs) -> list[tuple]:
+    """(name, argv, differences) of every run whose results differ."""
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        old = list(pool.map(lambda r: run_one(old_src, r[1]), runs))
+        new = list(pool.map(lambda r: run_one(new_src, r[1]), runs))
+    return [(name, argv, describe(a, b))
+            for (name, argv), a, b in zip(runs, old, new) if a != b]
+
+
+def report(diffs, total: int) -> str:
+    lines = [f"{total - len(diffs)} of {total} runs identical, {len(diffs)} differ"]
+    for target in dict.fromkeys(name.split()[0] for name, _, _ in diffs):
+        lines.append(f"\n[{target}]")
+        for name, argv, parts in diffs:
+            if name.split()[0] == target:
+                lines.append(f"  {name}: entangler {' '.join(argv)}")
+                lines += [f"    {part}" for part in parts]
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    runs = corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
+                                str(tree), args.rev], capture_output=True, text=True)
+        if added.returncode:
+            sys.stderr.write(added.stderr)
+            return 2
+        try:
+            diffs = compare(tree / "src", ROOT / "src", runs)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(tree)], capture_output=True)
+    sys.stdout.write(report(diffs, len(runs)))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
