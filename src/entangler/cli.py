@@ -22,7 +22,7 @@ import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -115,7 +115,7 @@ class _Target:
     command: str
     schema: dict[str, tuple]  # key -> (parser, default, help)
     sweepable: tuple[str, ...]
-    aliases: dict[str, str]  # params field -> config key, for DomainError
+    aliases: dict[str, str]  # params field -> config key, where they differ
     columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
     point: Callable[[dict, str | None, list, _RunState], list[tuple]]
     single: Callable[[dict, _RunState], tuple] | None = None
@@ -132,6 +132,33 @@ def _parse_sweep_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad sweep_range {text!r}: {exc}") from None
 
 
+def _pairs(text: str):
+    """The (key, value) pairs of config text; an error names its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        yield key.strip(), value.strip()
+
+
+def _spec(pairs) -> SweepSpec:
+    """A SweepSpec of (key, value) pairs, a later pair replacing an earlier
+    one of its key. It keeps the raw override texts; run validates them."""
+    pairs = dict(pairs)
+    if "target" not in pairs:
+        raise ConfigError("target is required")
+    spec = SweepSpec(pairs.pop("target"), sweep_key=pairs.pop("sweep_key", None))
+    if "sweep_range" in pairs:
+        spec.sweep_range = _parse_sweep_range(pairs.pop("sweep_range"))
+    spec.output_format = pairs.pop("format", spec.output_format)
+    spec.output_path = pairs.pop("out", spec.output_path)
+    spec.parameter_overrides = pairs
+    return spec
+
+
 def parse_config(text: str) -> SweepSpec:
     """Parse a flat key=value config into a SweepSpec.
 
@@ -140,30 +167,7 @@ def parse_config(text: str) -> SweepSpec:
     spec keeps the raw override texts, and run validates it again as it
     stands when it is called.
     """
-    pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-
-    target = pairs.pop("target", None)
-    if target is None:
-        raise ConfigError("target is required")
-
-    spec = SweepSpec(target=target)
-    if "format" in pairs:
-        spec.output_format = pairs.pop("format")
-    if "out" in pairs:
-        spec.output_path = pairs.pop("out")
-    if "sweep_key" in pairs:
-        spec.sweep_key = pairs.pop("sweep_key")
-    if "sweep_range" in pairs:
-        spec.sweep_range = _parse_sweep_range(pairs.pop("sweep_range"))
-    spec.parameter_overrides = pairs
+    spec = _spec(_pairs(text))
     _resolve(spec)  # fail fast on unknown keys or bad values
     return spec
 
@@ -281,10 +285,6 @@ def _fmt(v) -> str:
     return _field(v) % v
 
 
-def _json_number(v) -> str:
-    return _JSON_BOOL[v] if isinstance(v, bool) else _fmt(v)
-
-
 def _format_rows(rows, as_json: bool = False) -> list[str]:
     """Each row (a tuple) through one %-template, built once from the kinds
     of the first row's values: a CSV line, or a JSON array."""
@@ -311,8 +311,6 @@ def _rows(columns, *arrays) -> list[tuple]:
 # point would alone: its values rise, the source kernels raise only for a
 # leading run of them, and check_finite names the first row that fails.
 
-_SOURCE_FIELDS = ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
-                  "reg_delta")
 _SOURCE_COLUMNS = ("e_up", "e_down", "delta_e")
 _CHART_COLUMNS = ("x", "y", "e_up", "e_down", "delta_e")
 _TWOQUBIT_COLUMNS = ("h0", "hr_re", "hr_im", "e1_re", "e1_im", "e2_re", "e2_im",
@@ -321,18 +319,25 @@ _REPORT_COLUMNS = ("h0", "hr_re", "hr_im", "max_residual", "eigenvalue_set_dista
                    "hermitian", "degenerate")
 
 
-def _source_params(resolved: dict) -> SourceParams:
-    return SourceParams(**{k: resolved[k] for k in _SOURCE_FIELDS})
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _params(cls, resolved: dict, aliases: dict):
+    """A params dataclass with each field from its config key in resolved."""
+    return cls(**{f: resolved[aliases.get(f, f)] for f in _field_names(cls)})
 
 
 def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list[tuple]:
     swept = np.array(values)
-    s = spin_split(build_hmatrix(_source_params({**resolved, key: swept})))
+    p = _params(SourceParams, {**resolved, key: swept}, _TARGETS[TARGET_SOURCE].aliases)
+    s = spin_split(build_hmatrix(p))
     return _rows((key,) + _SOURCE_COLUMNS, swept, s.e_up, s.e_down, s.delta_e)
 
 
 def _source_chart(resolved: dict, state: _RunState) -> tuple:
-    p = _source_params(resolved)
+    p = _params(SourceParams, resolved, _TARGETS[TARGET_SOURCE].aliases)
     n = resolved["x_count"]
     x_values = [p.l_x * (i + 1) / (n + 1) for i in range(n)]
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
@@ -351,9 +356,7 @@ def _channel_point(resolved: dict, key: str | None, values: list,
     profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
     for value in values:
         r = resolved if key is None else {**resolved, key: value}
-        p = ChannelPotentialParams(
-            m_eff=r["m_eff"], omega=r["omega"], a=r["a"], coulomb_k=r["coulomb_k"],
-            fermi_l=r["fermi_l"], include_vc=bool(r["include_vc"]))
+        p = _params(ChannelPotentialParams, r, _TARGETS[TARGET_CHANNEL].aliases)
         g = r["g"] or p.m_eff * p.omega
         cfg = QlmConfig(g=g, grid=default_qlm_grid(g, r["n_points"]),
                         max_iterations=r["iterations"])
@@ -376,11 +379,7 @@ def _channel_point(resolved: dict, key: str | None, values: list,
 
 
 def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
-    p = TwoQubitParams(
-        m_eff=resolved["m_eff"], omega=resolved["omega"], a_b=resolved["a_b"],
-        lam=resolved["lambda"], k=resolved["k"], alpha_r=resolved["alpha_r"],
-        coulomb_k=resolved["coulomb_k"], fermi_l=resolved["fermi_l"],
-        wave_direction=resolved["wave_direction"])
+    p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
     return build_matrix(*expectations(p))
 
 
@@ -572,7 +571,7 @@ def _emit_json_value(v) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (bool, int, float, np.integer, np.floating)):
-        return _json_number(v)
+        return _JSON_BOOL[v] if isinstance(v, bool) else _fmt(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_emit_json_value(x) for x in v) + "]"
     if isinstance(v, dict):
@@ -655,7 +654,8 @@ def run(spec: SweepSpec) -> int:
             failure = 2, f"config error: {exc}"
         except DomainError as exc:
             name = target.aliases.get(exc.name, exc.name)
-            failure = 2, f"config error: bad value for key {name!r}: {exc}"
+            failure = 2, (f"config error: bad value for key {name!r}: "
+                          f"{str(exc).replace(exc.name, name)}")
         except OverflowError:  # float ** says only "(34, 'Numerical result ...')"
             failure = 1, f"{spec.target}: computation failed: floating-point overflow"
         except Exception as exc:  # computation failure inside a module
@@ -728,40 +728,39 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the spec of one command's pairs, a later one replacing an earlier
+    of its key: the target, the --config lines, each --set, --format/--out."""
     args = _parser().parse_args(argv)
-
-    text = ""
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            sys.stderr.write(f"config error: cannot read {args.config}: {exc}\n")
-            return 2
     try:
+        text = ""
+        if args.config:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read {args.config}: {exc}") from None
+        sets = []
         for override in args.set:
-            if "=" not in override:
+            key, eq, value = override.partition("=")
+            if not eq:
                 raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
-            # The pairs are joined into config text, where these would cut
-            # the value or start a line of their own.
+            # A manifest's resolved_parameters, written as key=value lines,
+            # is a config that reproduces the run: there a '#' would cut the
+            # value, and a line break would start another line.
             if "#" in override or override.splitlines() != [override]:
-                raise ConfigError(
-                    f"--set value for key {override.split('=', 1)[0].strip()!r} "
-                    f"may not hold '#' or a line break, got {override!r}")
-        # The subcommand's target goes first, so a target line in the config
-        # or a --set replaces it and is caught as a conflict below.
-        spec = parse_config("\n".join([f"target={args.target}", text, *args.set]))
-        if spec.target != args.target:
-            raise ConfigError(
-                f"config target {spec.target!r} conflicts with subcommand "
-                f"{args.command!r} ({args.target})")
+                raise ConfigError(f"--set value for key {key.strip()!r} may not "
+                                  f"hold '#' or a line break, got {override!r}")
+            sets.append((key.strip(), value.strip()))
+        pairs = [("target", args.target), *_pairs(text), *sets]
+        target = dict(pairs)["target"]
+        if target != args.target:
+            raise ConfigError(f"config target {target!r} conflicts with subcommand "
+                              f"{args.command!r} ({args.target})")
+        flags = (("format", args.format), ("out", args.out))
+        spec = _spec(pairs + [(k, v) for k, v in flags if v is not None])
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    if args.format:
-        spec.output_format = args.format
-    if args.out is not None:
-        spec.output_path = args.out
     return run(spec)
 
 

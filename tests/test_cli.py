@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from entangler import cli
 from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
                            SweepSpec, main, parse_config, run)
+from entangler.channel_qlm import ChannelPotentialParams
 from entangler.gates import u_swap_alpha
 from entangler.source_spectrum import SourceParams, build_hmatrix
 from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
@@ -328,6 +330,76 @@ class TestMain:
         assert main(["channel", "--config", cfg]) == 2
         assert "conflicts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("foo\nalpha=1\n", 1),
+        ("# a comment\nalpha=1\n\nfoo\n", 4),
+        ("alpha=1  # trailing\r\nbar # baz\r\n", 2),
+    ])
+    def test_config_error_names_the_line_of_the_file(self, tmp_path, capsys,
+                                                     text, lineno):
+        cfg = write_config(tmp_path, text)
+        assert main(["gates", "--config", cfg, "--set", "alpha=2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: line {lineno}: expected key=value")
+
+    @pytest.mark.parametrize("lines", [
+        "format=xml\nout=\n", "format=json\nout=elsewhere.csv\n",
+        "format=xml\nout=o.csv\n"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_and_out_flags_replace_config_lines(
+            self, tmp_path, monkeypatch, capsys, lines, fmt):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, lines + "alpha=1\n")
+        assert main(["gates", "--config", cfg, "--format", fmt, "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("alpha," if fmt == "csv" else '{"manifest": ')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert main(["gates", "--config", cfg, "--format", fmt, "--out", "o.csv"]) == 0
+        assert (tmp_path / "o.csv").read_text() == out
+
+    @pytest.mark.parametrize("args", [
+        ["--config", "run.cfg"],
+        ["--set", "target=channel_qlm", "--set", "alpha=1"],
+        ["--set", "alpha=1", "--set", "target=channel_qlm"],
+        ["--set", "target=channel_qlm", "--set", "sweep_range=x"],
+        ["--set", "target=channel_qlm", "--format", "csv", "--out", ""],
+    ])
+    def test_target_conflict_is_reported_before_other_key_errors(
+            self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, "target=channel_qlm\nalpha=1\n")
+        assert main(["gates", *args]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config target 'channel_qlm' conflicts with "
+            "subcommand 'gates' (gate_check)\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["source", "--set", "y_points=1"], "key 'y_points': need y_points >= 3, got 1"),
+        (["twoqubit", "--set", "lambda=-1"],
+         "key 'lambda': lambda must be positive, got -1.0"),
+        (["channel", "--set", "iterations=0"],
+         "key 'iterations': iterations must be >= 1, got 0"),
+        (["twoqubit", "--set", "coulomb_k=0.5", "--set", "lambda=2"],
+         "key 'lambda': Coulomb expectation diverges unless lambda < sqrt(2) * "
+         "fermi_l, i.e. 1 - lambda^2 / (2 fermi_l^2) > 0 (got lambda = 2.0, "
+         "fermi_l = 1.0)"),
+    ])
+    def test_domain_error_text_names_the_config_key(self, capsys, args, message):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: bad value for {message}\n"
+
+    @pytest.mark.parametrize("name, cls", [
+        ("source_delta_e", SourceParams), ("channel_qlm", ChannelPotentialParams),
+        ("twoqubit_eigen", TwoQubitParams)])
+    def test_every_params_field_has_a_config_key(self, name, cls):
+        target = cli._TARGETS[name]
+        for f in dataclasses.fields(cls):
+            assert target.aliases.get(f.name, f.name) in target.schema, f.name
+        resolved = {key: default for key, (_, default, _) in target.schema.items()}
+        params = cli._params(cls, resolved, target.aliases)
+        for f in dataclasses.fields(cls):
+            assert getattr(params, f.name) == resolved[target.aliases.get(f.name, f.name)]
+
     def test_invalid_sweep_key_exits_two_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["source", "--set", "sweep_key=bogus",
@@ -339,8 +411,9 @@ class TestMain:
         "dump_matrix=m#1.csv", "dump_matrix=m.csv\nalpha=2", "alpha=2\r"])
     def test_set_value_with_hash_or_line_break_exits_two(
             self, tmp_path, monkeypatch, capsys, setting):
-        # joined into config text, the value would be cut at the '#' or run
-        # on into a line of its own
+        # A manifest's resolved_parameters, written as key=value lines, is a
+        # config that reproduces the run: there the value would be cut at
+        # the '#' or run on into a line of its own.
         monkeypatch.chdir(tmp_path)
         assert main(["gates", "--set", setting, "--out", "o.csv"]) == 2
         err = capsys.readouterr().err
@@ -993,6 +1066,30 @@ def test_property_manifest_reproduces_output(case):
         again = os.path.join(tmp, "again")
         assert run_main([command, "--config", config, "--out", again])[0] == 0
         assert Path(first).read_bytes() == Path(again).read_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs())
+def test_property_config_file_and_set_flags_run_alike(case):
+    """The same key=value lines, as a --config file and as --set flags, are
+    the same run: byte-identical output and the same input_hash."""
+    command, lines, fmt = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        outs = [os.path.join(tmp, name) for name in ("from_file", "from_set")]
+        results = [
+            run_main([command, "--config", config, "--format", fmt, "--out", outs[0]]),
+            run_main([command, *(a for line in lines for a in ("--set", line)),
+                      "--format", fmt, "--out", outs[1]])]
+        assert results[0] == results[1]
+        assume(results[0][0] == 0)
+        first, second = (Path(out).read_bytes() for out in outs)
+        assert first == second
+        hashes = [json.loads(Path(out + ".manifest.json").read_text())["input_hash"]
+                  for out in outs]
+        assert hashes[0] == hashes[1]
 
 
 @st.composite

@@ -7,9 +7,11 @@ and on the working tree, and print the runs whose results differ.
 REV (for example HEAD~) is checked out into a temporary `git worktree`,
 which is removed afterwards. Each run is a fresh interpreter calling
 entangler.cli.main, with PYTHONPATH set to one side's src/, in an empty
-directory of its own; two run at a time. A run's result is its exit code,
-stdout, stderr and every file it wrote, with the sidecar timestamp masked
-wherever it appears. The differing runs are printed grouped by target,
+directory of its own; two run at a time. A config-file run finds its file
+there as run.cfg. A run's result is its exit code, stdout, stderr and every
+file in its directory, with the sidecar timestamp masked wherever it
+appears. The corpus holds no benchmark round, so it does not move when the
+benchmark's inputs do. The differing runs are printed grouped by target,
 each with what changed.
 Exit code 0 when every run matches, 1 when some differ, 2 on a bad REV.
 """
@@ -45,22 +47,56 @@ SWEEPS = {
 # past stop, and finite ranges where it overflows.
 EXTREME_RANGES = ("-1.6980278140200147,3.9001089761289887,24", "1,1e308,3",
                   "1e300,1.7e308,3", "-1e308,1e308,3")
+# Every float key, each run at every extreme value (a single run, not a sweep).
+FLOAT_KEYS = {
+    "source": ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
+               "reg_delta", "y_min", "y_max"),
+    "channel": ("m_eff", "omega", "a", "coulomb_k", "fermi_l", "g"),
+    "twoqubit": ("m_eff", "omega", "a_b", "lambda", "k", "alpha_r", "coulomb_k",
+                 "fermi_l"),
+    "gates": ("alpha",),
+}
+EXTREME_VALUES = ("-1.7976931348623157e308", "-1", "0", "5e-324", "1e300",
+                  "1.7976931348623157e308")
+# (name, argv without --config, text of run.cfg): a file alone and with a
+# --set that replaces one of its keys, format/out lines that the flags
+# replace, a bad line counted from the file's first line, and a target
+# conflict beside a key the subcommand does not have.
+CONFIG_RUNS = (
+    ("twoqubit config file", ["twoqubit", "--out", "out"],
+     "# a comment\nomega=1.5\n\nk=0.5  # trailing\nsweep_key=alpha_r\n"
+     "sweep_range=0,1,3\n"),
+    ("twoqubit config file --set k", ["twoqubit", "--out", "out", "--set", "k=0.25"],
+     "omega=1.5\nk=0.5\n"),
+    ("gates config format=xml out= --format csv --out -",
+     ["gates", "--format", "csv", "--out", "-"], "format=xml\nout=\n"),
+    ("gates config format=xml out=x --format json --out out",
+     ["gates", "--format", "json", "--out", "out"], "format=xml\nout=x\nalpha=1\n"),
+    ("gates config bad line 1", ["gates"], "foo\nalpha=1\n"),
+    ("gates config bad line 4", ["gates"], "# a comment\nalpha=1\n# another\nfoo\n"),
+    ("gates config target=channel_qlm alpha=1", ["gates"],
+     "target=channel_qlm\nalpha=1\n"),
+)
+# Values outside a domain whose message names a parameter field.
+DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
+               ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"))
 
 
 def _sets(*pairs: str) -> list[str]:
     return [a for pair in pairs for a in ("--set", pair)]
 
 
-def corpus() -> list[tuple[str, list[str]]]:
-    """(name, argv) of every run, in a fixed order; a name starts with its
-    command. Runs that write a file write it as "out" in their directory."""
+def corpus() -> list[tuple[str, list[str], str | None]]:
+    """(name, argv, config text or None) of every run, in a fixed order; a
+    name starts with its command. Runs that write a file write it as "out"
+    in their directory."""
     runs = []
     for command in SWEEPS:
         for fmt in ("csv", "json"):
             runs.append((f"{command} default {fmt} file",
                          [command, "--format", fmt, "--out", "out"]))
             runs.append((f"{command} default {fmt} stdout", [command, "--format", fmt]))
-    for nx, ny in ((1, 1), (3, 401), (50, 401)):
+    for nx, ny in ((1, 3), (3, 401), (50, 401)):
         for fmt in ("csv", "json"):
             runs.append((f"source chart {nx}x{ny} {fmt}",
                          ["source", "--format", fmt, "--out", "out"]
@@ -82,13 +118,26 @@ def corpus() -> list[tuple[str, list[str]]]:
             for span in EXTREME_RANGES:
                 runs.append((f"{command} sweep {key} {span}", [command, "--out", "out"]
                              + _sets(*extra, f"sweep_key={key}", f"sweep_range={span}")))
+    runs = [run + (None,) for run in runs]
+    runs += [(name, argv + ["--config", "run.cfg"], text)
+             for name, argv, text in CONFIG_RUNS]
+    for command, *pairs in DOMAIN_RUNS:
+        runs.append((f"{command} domain {' '.join(pairs)}", [command] + _sets(*pairs), None))
+    for command, keys in FLOAT_KEYS.items():
+        for key in keys:
+            for value in EXTREME_VALUES:
+                runs.append((f"{command} {key}={value}",
+                             [command, "--out", "out"] + _sets(f"{key}={value}"), None))
     return runs
 
 
-def run_one(src: Path, argv: list[str]) -> dict:
-    """Exit code, stdout, stderr and written files of one run, timestamps masked."""
+def run_one(src: Path, argv: list[str], config: str | None = None) -> dict:
+    """Exit code, stdout, stderr and the files of one run, timestamps masked.
+    A config text is written as run.cfg before the run."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryDirectory() as cwd:
+        if config is not None:
+            Path(cwd, "run.cfg").write_text(config, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
                               capture_output=True, timeout=TIMEOUT_S)
         files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())}
@@ -127,10 +176,10 @@ def describe(old: dict, new: dict) -> list[str]:
 def compare(old_src: Path, new_src: Path, runs) -> list[tuple]:
     """(name, argv, differences) of every run whose results differ."""
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        old = list(pool.map(lambda r: run_one(old_src, r[1]), runs))
-        new = list(pool.map(lambda r: run_one(new_src, r[1]), runs))
+        old = list(pool.map(lambda r: run_one(old_src, *r[1:]), runs))
+        new = list(pool.map(lambda r: run_one(new_src, *r[1:]), runs))
     return [(name, argv, describe(a, b))
-            for (name, argv), a, b in zip(runs, old, new) if a != b]
+            for (name, argv, _), a, b in zip(runs, old, new) if a != b]
 
 
 def report(diffs, total: int) -> str:
