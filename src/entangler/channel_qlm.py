@@ -13,17 +13,18 @@ which fixes
 
     E_n = int w (l_{n-1}^2 + 2 m* V) / (2 m* int w).
 
-Everything lives on the half line [0, y_max] with even-parity states
-(l(0) = 0), matching the zero iterate l_0 = -g y of a symmetric well.
-qlm_spectrum runs the iteration; qlm_weight, qlm_energy and qlm_step are its
-per-iterate kernels on arrays sampled on the grid.
+Everything lives on the half line [0, y_max] of QlmConfig's grid with
+even-parity states (l(0) = 0), matching the zero iterate l_0 = -g y of a
+symmetric well. qlm_spectrum runs the iteration on a potential sampled on
+that grid and returns each iterate's energy and the last log-derivative;
+qlm_weight, qlm_energy and qlm_step are its per-iterate kernels on arrays
+sampled on the grid.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .numerics import DomainError, Grid1D, check_domain, erfcx
 __all__ = [
     "ChannelPotentialParams",
     "QlmConfig",
-    "QlmIterate",
     "QlmError",
     "coulomb_profile",
     "channel_potential",
@@ -41,7 +41,6 @@ __all__ = [
     "qlm_energy",
     "qlm_step",
     "qlm_spectrum",
-    "default_qlm_grid",
 ]
 
 
@@ -81,46 +80,25 @@ class ChannelPotentialParams:
 
 @dataclass(frozen=True)
 class QlmConfig:
-    """Iteration controls: zero-iterate slope g, half-line grid, loop count."""
+    """Iteration controls: zero-iterate slope g, grid size, loop count.
+
+    The half-line grid [0, 7.5/sqrt(g)] is derived from g: exp(-g y_max^2)
+    ~ 4e-25 leaves enough margin that the truncated tail of the backward
+    integral in qlm_step stays below 1e-8 everywhere inside 6/sqrt(g).
+    """
 
     g: float
-    grid: Grid1D
-    max_iterations: int = 3
+    n_points: int = 4001
+    iterations: int = 3
+    grid: Grid1D = field(init=False)
 
     def __post_init__(self):
         check_domain(self, positive=("g",))
-        if self.grid.y_min != 0.0:
-            raise ValueError("grid must start at y = 0 (half line, even parity)")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations", "max_iterations must be >= 1, "
-                                                f"got {self.max_iterations}")
-        # The zero-iterate weight exp(-g y^2) must be negligible at the edge.
-        if math.exp(-self.g * self.grid.y_max ** 2) >= 1e-12:
-            raise ValueError(
-                f"y_max = {self.grid.y_max} too small: exp(-g y_max^2) = "
-                f"{math.exp(-self.g * self.grid.y_max ** 2):.3g} >= 1e-12"
-            )
-
-
-@dataclass
-class QlmIterate:
-    """One iterate: index n >= 1, sampled log-derivative, and its energy."""
-
-    n: int
-    l_n: np.ndarray
-    e_n: float
-
-
-def default_qlm_grid(g: float, n_points: int = 4001) -> Grid1D:
-    """Half-line grid sized for slope g.
-
-    y_max = 7.5/sqrt(g) keeps exp(-g y_max^2) ~ 4e-25, leaving enough margin
-    that the truncated tail of the backward integral in qlm_step stays below
-    1e-8 everywhere inside 6/sqrt(g).
-    """
-    if not g > 0:
-        raise DomainError("g", f"g must be positive, got {g}")
-    return Grid1D(0.0, 7.5 / math.sqrt(g), n_points)
+        object.__setattr__(self, "grid",
+                           Grid1D(0.0, 7.5 / math.sqrt(self.g), self.n_points))
+        if self.iterations < 1:
+            raise DomainError("iterations", "iterations must be >= 1, "
+                                            f"got {self.iterations}")
 
 
 def coulomb_profile(y, fermi_l: float):
@@ -131,22 +109,25 @@ def coulomb_profile(y, fermi_l: float):
 def channel_potential(p: ChannelPotentialParams, y, profile=None):
     """Channel potential at y (scalar or array). profile, when given, is
     coulomb_profile(y, p.fermi_l) sampled already: the points of a sweep
-    that share the grid and fermi_l share one erfcx pass."""
+    that share the grid and fermi_l share one erfcx pass. A value that
+    overflows is inf, which qlm_spectrum reports."""
     y = np.asarray(y, dtype=float)
-    quartic = (p.m_eff * p.omega ** 2 / (8.0 * p.a ** 2)) * (y ** 2 - p.a ** 2) ** 2
-    if not p.include_vc:
-        return quartic if quartic.ndim else float(quartic)
-    if profile is None:
-        profile = coulomb_profile(y, p.fermi_l)
-    scale = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
-    out = quartic + scale * profile
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartic = (p.m_eff * p.omega ** 2 / (8.0 * p.a ** 2)) * (y ** 2 - p.a ** 2) ** 2
+        if not p.include_vc:
+            return quartic if quartic.ndim else float(quartic)
+        if profile is None:
+            profile = coulomb_profile(y, p.fermi_l)
+        scale = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
+        out = quartic + scale * profile
     return out if out.ndim else float(out)
 
 
 def harmonic_reference_potential(p: ChannelPotentialParams, y):
     """Validation potential (m*/2) w^2 y^2; exact QLM fixed point l = -m* w y."""
     y = np.asarray(y, dtype=float)
-    out = 0.5 * p.m_eff * p.omega ** 2 * y ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * p.m_eff * p.omega ** 2 * y ** 2
     return out if out.ndim else float(out)
 
 
@@ -226,24 +207,25 @@ def qlm_step(prev_l: np.ndarray, w: np.ndarray, energy: float, v: np.ndarray,
 
 
 def qlm_spectrum(p: ChannelPotentialParams, cfg: QlmConfig,
-                 *, potential: Callable | None = None) -> list[QlmIterate]:
-    """Run the iteration max_iterations times: weight, energy from the decay
-    condition, then the linearized step. V (channel_potential unless
-    potential is given) is sampled on cfg.grid once, the weight once per
-    iterate.
+                 v: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Run the iteration cfg.iterations times on the potential v sampled on
+    cfg.grid: weight, energy from the decay condition, then the linearized
+    step, with the weight computed once per iterate.
 
-    Returns every iterate in order. A failing iterate, including one whose
-    energy or log-derivative is not finite, raises QlmError naming it.
-    numpy's floating-point warnings are silenced here, because each
-    non-finite value they would announce ends in that QlmError.
+    Returns (energies, l): the energy of every iterate in order and the last
+    log-derivative on cfg.grid. A failing iterate, including one whose
+    energy or log-derivative is not finite, raises QlmError naming it; a v
+    not on cfg.grid raises ValueError. numpy's floating-point warnings are
+    silenced here, because each non-finite value they would announce ends
+    in that QlmError.
     """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (cfg.grid.n_points,):
+        raise ValueError("v must be sampled on cfg.grid")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = cfg.grid.points()
-        v = np.asarray(channel_potential(p, y) if potential is None
-                       else potential(y), dtype=float)
-        l_cur = -cfg.g * y
-        out: list[QlmIterate] = []
-        for n in range(1, cfg.max_iterations + 1):
+        l_cur = -cfg.g * cfg.grid.points()
+        energies = []
+        for n in range(1, cfg.iterations + 1):
             try:
                 w = qlm_weight(l_cur, cfg)
                 e_n = qlm_energy(l_cur, w, v, p, cfg)
@@ -254,5 +236,5 @@ def qlm_spectrum(p: ChannelPotentialParams, cfg: QlmConfig,
                     raise QlmError("non-finite log-derivative")
             except QlmError as exc:
                 raise QlmError(f"iteration {n}: {exc}") from None
-            out.append(QlmIterate(n=n, l_n=l_cur, e_n=e_n))
-    return out
+            energies.append(e_n)
+    return energies, l_cur

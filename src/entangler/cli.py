@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .channel_qlm import (ChannelPotentialParams, QlmConfig, channel_potential,
-                          coulomb_profile, default_qlm_grid,
-                          harmonic_reference_potential, qlm_spectrum)
+                          coulomb_profile, harmonic_reference_potential,
+                          qlm_spectrum)
 from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
                     apply, bell_state, cnot_from_sqrt_swap, concurrence,
                     exchange_evolution_expm, gate_fidelity, u_swap_alpha)
@@ -64,8 +64,8 @@ MAX_SWEEP_STEPS = 100_000
 # before anything is written for the same reason (50x the 50 x 401 chart).
 MAX_CHART_POINTS = 1_000_000
 
-# Largest accepted channel run, n_points * iterations samples: every iterate
-# keeps its n_points log-derivative samples until the run ends.
+# Largest accepted channel run, n_points * iterations samples: each iterate
+# computes n_points samples, so this bounds the work of a run.
 MAX_CHANNEL_SAMPLES = 1_000_000
 
 # Rows per piece of rendered output. A table is rendered and written piece
@@ -357,24 +357,22 @@ def _channel_point(resolved: dict, key: str | None, values: list,
     for value in values:
         r = resolved if key is None else {**resolved, key: value}
         p = _params(ChannelPotentialParams, r, _TARGETS[TARGET_CHANNEL].aliases)
-        g = r["g"] or p.m_eff * p.omega
-        cfg = QlmConfig(g=g, grid=default_qlm_grid(g, r["n_points"]),
-                        max_iterations=r["iterations"])
+        cfg = QlmConfig(r["g"] or p.m_eff * p.omega, r["n_points"], r["iterations"])
+        y = cfg.grid.points()
         if r["potential"] == "harmonic":
-            potential = functools.partial(harmonic_reference_potential, p)
+            v = harmonic_reference_potential(p, y)
         else:
             shape = cfg.grid, p.fermi_l
             if p.include_vc and shape not in profiles:
-                profiles[shape] = coulomb_profile(cfg.grid.points(), p.fermi_l)
-            potential = functools.partial(channel_potential, p,
-                                          profile=profiles.get(shape))
-        iterates = qlm_spectrum(p, cfg, potential=potential)
+                profiles[shape] = coulomb_profile(y, p.fermi_l)
+            v = channel_potential(p, y, profile=profiles.get(shape))
+        energies, l_last = qlm_spectrum(p, cfg, v)
         dump = r["dump_l"]
         if dump and dump not in state.files:
-            samples = zip(cfg.grid.points().tolist(), iterates[-1].l_n.tolist())
+            samples = zip(y.tolist(), l_last.tolist())
             state.files[dump] = _render_csv(("y", "l"), list(samples))
         lead = () if key is None else (value,)
-        rows += [lead + (it.n, it.e_n) for it in iterates]
+        rows += [lead + (n, e_n) for n, e_n in enumerate(energies, 1)]
     return rows
 
 
@@ -505,7 +503,7 @@ _TARGETS = {
             "dump_l": (str, "", "optional path for the final (y, l) samples"),
         },
         sweepable=("omega", "coulomb_k", "g"),
-        aliases={"max_iterations": "iterations"},
+        aliases={},
         columns=("n", "e_n"),
         point=_channel_point,
     ),

@@ -233,17 +233,17 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
     for x in x_values:
         if not 0.0 < x < p.l_x:
             raise ValueError(f"x = {x} outside the open interval (0, {p.l_x})")
-    with np.errstate(over="ignore"):  # a square that overflows is inf
+    with np.errstate(all="ignore"):  # a value that overflows is inf, named below
         l_x2, k2, omega2 = map(float, np.float_power((p.l_x, p.k, p.omega), 2))
-    kinetic = math.pi ** 2 / (2.0 * p.m_eff * l_x2) + k2 / (2.0 * p.m_eff)
-    ys = y_grid.points()
-    x = np.repeat(x_values, len(ys))
-    y = np.tile(ys, len(x_values))
-    weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
-    ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
-    log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
-    dens = (kinetic + 0.5 * p.m_eff * omega2 * (x * x + y * y) + log_term) * weight
-    off = p.alpha_r * p.k * weight
+        kinetic = math.pi ** 2 / (2.0 * p.m_eff * l_x2) + k2 / (2.0 * p.m_eff)
+        ys = y_grid.points()
+        x = np.repeat(x_values, len(ys))
+        y = np.tile(ys, len(x_values))
+        weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
+        ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
+        log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+        dens = (kinetic + 0.5 * p.m_eff * omega2 * (x * x + y * y) + log_term) * weight
+        off = p.alpha_r * p.k * weight
     s = spin_split(HMatrix2(h11=dens, h12=off, h21=off, h22=dens))
     check_finite(("x", "y", "e_up", "e_down", "delta_e"),
                  (x, y, s.e_up, s.e_down, s.delta_e))

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from entangler.channel_qlm import (ChannelPotentialParams, QlmConfig,
-                                   default_qlm_grid,
+                                   channel_potential,
                                    harmonic_reference_potential, qlm_spectrum)
 from entangler.cli import main, parse_config, run
 from entangler.gates import (BELL_LABELS, CNOT, SWAP, Gate4, TwoQubitState,
@@ -94,12 +94,13 @@ def test_c06_qlm_harmonic_exactness():
     ok = True
     for omega in (0.5, 1.0, 2.0):
         p = ChannelPotentialParams(omega=omega, a=1.0 / math.sqrt(omega))
-        cfg = QlmConfig(g=omega, grid=default_qlm_grid(omega), max_iterations=2)
-        its = qlm_spectrum(p, cfg,
-                           potential=lambda y, p=p: harmonic_reference_potential(p, y))
-        ok &= abs(its[0].e_n - omega / 2.0) <= 1e-8
+        cfg = QlmConfig(g=omega, iterations=2)
+        v = harmonic_reference_potential(p, cfg.grid.points())
+        energies, l_2 = qlm_spectrum(p, cfg, v)
+        _, l_1 = qlm_spectrum(p, QlmConfig(g=omega, iterations=1), v)
+        ok &= abs(energies[0] - omega / 2.0) <= 1e-8
         mask = cfg.grid.points() <= 6.0 / math.sqrt(omega)
-        ok &= np.abs(its[1].l_n - its[0].l_n)[mask].max() <= 1e-5
+        ok &= np.abs(l_2 - l_1)[mask].max() <= 1e-5
     check(6, "harmonic first energy is omega/2 and the iteration is stationary",
           bool(ok))
 
@@ -110,9 +111,10 @@ def test_c07_qlm_vs_fd_quartic():
     e_fd_fine = fd_schrodinger_oracle(quartic, Grid1D(-10.0, 10.0, 8001), 1.0, 1)[0]
     ok = abs(e_fd - E0_FD_QUARTIC) <= 1e-9
     ok &= abs(e_fd_fine - e_fd) <= 1e-5  # self-convergence of the fixture
-    cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0), max_iterations=3)
-    its = qlm_spectrum(ChannelPotentialParams(), cfg)
-    gaps = [abs(it.e_n - E0_FD_QUARTIC) for it in its]
+    p = ChannelPotentialParams()
+    cfg = QlmConfig(g=1.0, iterations=3)
+    energies, _ = qlm_spectrum(p, cfg, channel_potential(p, cfg.grid.points()))
+    gaps = [abs(e_n - E0_FD_QUARTIC) for e_n in energies]
     ok &= gaps[0] >= gaps[1] >= gaps[2]
     ok &= gaps[2] / E0_FD_QUARTIC <= 0.10
     check(7, "quartic iteration closes on the finite-difference ground state",

@@ -5,11 +5,11 @@ import pytest
 
 from entangler import channel_qlm
 from entangler.channel_qlm import (ChannelPotentialParams, QlmConfig, QlmError,
-                                   channel_potential, default_qlm_grid,
+                                   channel_potential,
                                    harmonic_reference_potential, qlm_energy,
                                    qlm_spectrum, qlm_step, qlm_weight)
 
-from entangler.numerics import Grid1D
+from entangler.numerics import DomainError, Grid1D
 from fd_oracle import fd_schrodinger_oracle
 
 # Frozen finite-difference ground truth for the quartic double well
@@ -21,12 +21,15 @@ QUARTIC = ChannelPotentialParams()
 
 
 def harmonic_cfg(omega=1.0, n_points=4001, iters=2):
-    return QlmConfig(g=omega, grid=default_qlm_grid(omega, n_points),
-                     max_iterations=iters)
+    return QlmConfig(g=omega, n_points=n_points, iterations=iters)
 
 
-def harmonic_pot(p):
-    return lambda y: harmonic_reference_potential(p, y)
+def harmonic_v(p, cfg):
+    return harmonic_reference_potential(p, cfg.grid.points())
+
+
+def quartic_v(p, cfg):
+    return channel_potential(p, cfg.grid.points())
 
 
 def step(prev_l, energy, v, p, cfg):
@@ -121,45 +124,46 @@ class TestQlmEnergy:
         assert e1 == pytest.approx(11.0 / 32.0, abs=1e-9)
 
     def test_non_decaying_weight_raises(self):
-        grid = Grid1D(0.0, 6.0, 501)
-        cfg = QlmConfig(g=1.0, grid=grid, max_iterations=1)
+        cfg = QlmConfig(g=1.0, n_points=501, iterations=1)
         with pytest.raises(QlmError, match="decay"):
-            qlm_weight(np.full(grid.n_points, -1e-3), cfg)
+            qlm_weight(np.full(cfg.grid.n_points, -1e-3), cfg)
+
+    def test_prev_l_off_the_grid_raises(self):
+        cfg = QlmConfig(g=1.0, n_points=501, iterations=1)
+        with pytest.raises(ValueError, match="prev_l must be sampled on cfg.grid"):
+            qlm_weight(-cfg.grid.points()[:-1], cfg)
 
 
 class TestQlmSpectrum:
     def test_harmonic_energies_stationary(self):
         cfg = harmonic_cfg(iters=3)
-        its = qlm_spectrum(QUARTIC, cfg, potential=harmonic_pot(QUARTIC))
-        for it in its:
-            assert it.e_n == pytest.approx(0.5, abs=1e-7)
-        y = cfg.grid.points()
-        mask = y <= 6.0
-        assert np.abs(its[1].l_n - its[0].l_n)[mask].max() <= 1e-5
+        v = harmonic_v(QUARTIC, cfg)
+        energies, _ = qlm_spectrum(QUARTIC, cfg, v)
+        for e_n in energies:
+            assert e_n == pytest.approx(0.5, abs=1e-7)
+        # the last l of a 2-iterate run against that of a 1-iterate run
+        _, l_1 = qlm_spectrum(QUARTIC, harmonic_cfg(iters=1), v)
+        _, l_2 = qlm_spectrum(QUARTIC, harmonic_cfg(iters=2), v)
+        mask = cfg.grid.points() <= 6.0
+        assert np.abs(l_2 - l_1)[mask].max() <= 1e-5
 
     def test_iteration_count_contract(self):
         cfg = harmonic_cfg(iters=1)
-        its = qlm_spectrum(QUARTIC, cfg)
-        assert len(its) == 1
-        assert its[0].n == 1
+        energies, l_n = qlm_spectrum(QUARTIC, cfg, quartic_v(QUARTIC, cfg))
+        assert len(energies) == 1
+        assert l_n.shape == (cfg.grid.n_points,)
 
     def test_quartic_converges_toward_fd_oracle(self):
-        cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0), max_iterations=3)
-        its = qlm_spectrum(QUARTIC, cfg)
-        assert its[0].e_n == pytest.approx(11.0 / 32.0, abs=1e-9)
-        gaps = [abs(it.e_n - E0_FD_QUARTIC) for it in its]
+        cfg = QlmConfig(g=1.0, iterations=3)
+        energies, _ = qlm_spectrum(QUARTIC, cfg, quartic_v(QUARTIC, cfg))
+        assert energies[0] == pytest.approx(11.0 / 32.0, abs=1e-9)
+        gaps = [abs(e_n - E0_FD_QUARTIC) for e_n in energies]
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] / E0_FD_QUARTIC <= 0.10
 
-    def test_potential_sampled_once_and_iterates_match_public_loop(self, monkeypatch):
+    def test_iterates_match_public_loop(self, monkeypatch):
         p = ChannelPotentialParams(coulomb_k=0.4, fermi_l=0.8, include_vc=True)
-        cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0, 1001), max_iterations=3)
-        calls = []
-
-        def counting(y):
-            calls.append(len(y))
-            return channel_potential(p, y)
-
+        cfg = QlmConfig(g=1.0, n_points=1001, iterations=3)
         weights = []
 
         def counting_weight(prev_l, cfg):
@@ -167,27 +171,33 @@ class TestQlmSpectrum:
             return qlm_weight(prev_l, cfg)
 
         monkeypatch.setattr(channel_qlm, "qlm_weight", counting_weight)
-        its = qlm_spectrum(p, cfg, potential=counting)
-        assert calls == [1001]
-        assert weights == [1001] * cfg.max_iterations
+        v = quartic_v(p, cfg)
+        energies, l_n = qlm_spectrum(p, cfg, v)
+        assert weights == [1001] * cfg.iterations
         # reference: the same iteration through the public kernels
-        y = cfg.grid.points()
-        v = channel_potential(p, y)
-        l_cur = -cfg.g * y
-        for it in its:
+        l_cur = -cfg.g * cfg.grid.points()
+        expected = []
+        for _ in range(cfg.iterations):
             w = qlm_weight(l_cur, cfg)
-            e_n = qlm_energy(l_cur, w, v, p, cfg)
-            l_cur = qlm_step(l_cur, w, e_n, v, p, cfg)
-            assert it.e_n == e_n
-            assert np.array_equal(it.l_n, l_cur)
-        assert len(its) == 3
+            expected.append(qlm_energy(l_cur, w, v, p, cfg))
+            l_cur = qlm_step(l_cur, w, expected[-1], v, p, cfg)
+        assert energies == expected
+        assert np.array_equal(l_n, l_cur)
         # the tail sample is +0.0, so a dump_l row never prints -0
-        assert math.copysign(1.0, its[-1].l_n[-1]) == 1.0
+        assert math.copysign(1.0, l_n[-1]) == 1.0
 
     def test_non_finite_iterate_raises_naming_it(self):
         cfg = harmonic_cfg(iters=3)
+        v = np.full(cfg.grid.n_points, np.inf)
         with pytest.raises(QlmError, match="^iteration 1: non-finite energy"):
-            qlm_spectrum(QUARTIC, cfg, potential=lambda y: np.full_like(y, np.inf))
+            qlm_spectrum(QUARTIC, cfg, v)
+
+    @pytest.mark.parametrize("n", [1000, 1002])
+    def test_potential_off_the_grid_raises(self, n):
+        cfg = QlmConfig(g=1.0, n_points=1001, iterations=1)
+        y = np.linspace(0.0, cfg.grid.y_max, n)
+        with pytest.raises(ValueError, match="v must be sampled on cfg.grid"):
+            qlm_spectrum(QUARTIC, cfg, channel_potential(QUARTIC, y))
 
     def test_fd_fixture_still_valid(self):
         e0 = fd_schrodinger_oracle(lambda y: channel_potential(QUARTIC, y),
@@ -200,8 +210,8 @@ class TestInvariants:
         # quadrature order consistency: refining the grid shrinks the move
         energies = []
         for n in (1001, 2001, 4001):
-            cfg = QlmConfig(g=1.0, grid=default_qlm_grid(1.0, n), max_iterations=1)
-            energies.append(qlm_spectrum(QUARTIC, cfg)[0].e_n)
+            cfg = QlmConfig(g=1.0, n_points=n, iterations=1)
+            energies.append(qlm_spectrum(QUARTIC, cfg, quartic_v(QUARTIC, cfg))[0][0])
         d1, d2 = abs(energies[1] - energies[0]), abs(energies[2] - energies[1])
         assert d2 < 4.0 * d1 or d2 < 1e-13
 
@@ -219,9 +229,17 @@ class TestInvariants:
         assert e2 == pytest.approx(c * e1, abs=1e-8)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="y_max"):
-            QlmConfig(g=1.0, grid=Grid1D(0.0, 2.0, 101), max_iterations=1)
-        with pytest.raises(ValueError, match="half line"):
-            QlmConfig(g=1.0, grid=Grid1D(-1.0, 8.0, 101), max_iterations=1)
-        with pytest.raises(ValueError):
-            QlmConfig(g=-1.0, grid=Grid1D(0.0, 8.0, 101), max_iterations=1)
+        # g first, then the grid, then the loop count
+        with pytest.raises(DomainError, match=r"^g must be positive, got -1\.0$"):
+            QlmConfig(g=-1.0, n_points=2, iterations=0)
+        with pytest.raises(DomainError, match=r"^need n_points >= 3, got 2$"):
+            QlmConfig(g=1.0, n_points=2, iterations=0)
+        with pytest.raises(DomainError, match=r"^iterations must be >= 1, got 0$"):
+            QlmConfig(g=1.0, n_points=3, iterations=0)
+
+    def test_grid_derived_from_g(self):
+        cfg = QlmConfig(g=4.0, n_points=101)
+        assert cfg.grid == Grid1D(0.0, 3.75, 101)
+        assert cfg.iterations == 3
+        with pytest.raises(TypeError):
+            QlmConfig(g=1.0, grid=cfg.grid)

@@ -288,7 +288,8 @@ class TestRun:
         assert np.array_equal(matrix, u_swap_alpha(math.pi).matrix)
 
     def test_computation_error_exit_one(self, tmp_path, capsys):
-        # y grid too short for the requested slope: module-level failure
+        # g=0.01 spreads the 101 points over [0, 75], 0.75 apart: the
+        # integrating factor underflows, a module-level failure
         spec = SweepSpec(target="channel_qlm",
                          parameter_overrides={"n_points": "101", "g": "0.01"})
         spec.output_path = str(tmp_path / "never.csv")
@@ -563,15 +564,20 @@ def run_fresh(args, cwd=None):
         env=child_env(), cwd=cwd, capture_output=True, timeout=120)
 
 
-@pytest.mark.parametrize("setting", ["m_eff=1e300", "g=1e-300"])
-def test_channel_overflow_fails_with_one_stderr_line(tmp_path, setting):
-    # numpy overflows on the way to the non-finite energy; only the failure
-    # line reaches stderr, with no source path from a RuntimeWarning
-    proc = run_fresh(["channel", "--set", setting, "--out", "x.csv"], cwd=tmp_path)
+@pytest.mark.parametrize("command,setting", [
+    ("channel", "m_eff=1e300"), ("channel", "g=1e-300"),
+    ("source", "l_x=1e300"), ("source", "y_max=1e300")])
+def test_overflow_fails_with_one_stderr_line(tmp_path, command, setting):
+    # numpy overflows on the way to the non-finite channel energy or chart
+    # column; only the failure line reaches stderr, with no source path
+    # from a RuntimeWarning
+    proc = run_fresh([command, "--set", setting, "--out", "x.csv"], cwd=tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("channel_qlm: computation failed: iteration 1: ")
+    assert lines[0].startswith({
+        "channel": "channel_qlm: computation failed: iteration 1: ",
+        "source": "source_delta_e: computation failed: non-finite "}[command])
     assert list(tmp_path.iterdir()) == []
 
 

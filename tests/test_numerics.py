@@ -208,6 +208,13 @@ class TestEigenSmall:
         with pytest.raises(ValueError):
             eigen_small(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_a_stack_with_a_non_finite_entry(self, bad):
+        stack = np.stack([np.eye(4, dtype=complex)] * 3)
+        stack[2, 1, 3] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            eigen_small(stack)
+
     def test_is_hermitian(self):
         assert is_hermitian(np.array([[1.0, 2j], [-2j, 0.5]]))
         assert not is_hermitian(np.array([[1.0, 2j], [2j, 0.5]]))
