@@ -110,10 +110,11 @@ def channel_potential(p: ChannelPotentialParams, y, profile=None):
     """Channel potential at y (scalar or array). profile, when given, is
     coulomb_profile(y, p.fermi_l) sampled already: the points of a sweep
     that share the grid and fermi_l share one erfcx pass. A value that
-    overflows is inf, which qlm_spectrum reports."""
+    overflows is inf, which qlm_spectrum reports (squares as C's pow)."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        quartic = (p.m_eff * p.omega ** 2 / (8.0 * p.a ** 2)) * (y ** 2 - p.a ** 2) ** 2
+    with np.errstate(all="ignore"):
+        omega2, a2 = np.float64(p.omega) ** 2, np.float64(p.a) ** 2
+        quartic = (p.m_eff * omega2 / (8.0 * a2)) * (y ** 2 - a2) ** 2
         if not p.include_vc:
             return quartic if quartic.ndim else float(quartic)
         if profile is None:
@@ -126,8 +127,8 @@ def channel_potential(p: ChannelPotentialParams, y, profile=None):
 def harmonic_reference_potential(p: ChannelPotentialParams, y):
     """Validation potential (m*/2) w^2 y^2; exact QLM fixed point l = -m* w y."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * p.m_eff * p.omega ** 2 * y ** 2
+    with np.errstate(all="ignore"):  # as channel_potential: overflow is inf
+        out = 0.5 * p.m_eff * np.float64(p.omega) ** 2 * y ** 2
     return out if out.ndim else float(out)
 
 

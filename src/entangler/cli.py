@@ -308,8 +308,8 @@ def _rows(columns, *arrays) -> list[tuple]:
 
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
 # describes the first point of its run. A sweep fails as its first failing
-# point would alone: its values rise, the source kernels raise only for a
-# leading run of them, and check_finite names the first row that fails.
+# point would alone: an overflow is inf or nan that a finite check names at
+# its first row, and the source kernels raise only for a leading run of values.
 
 _SOURCE_COLUMNS = ("e_up", "e_down", "delta_e")
 _CHART_COLUMNS = ("x", "y", "e_up", "e_down", "delta_e")
@@ -339,7 +339,7 @@ def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> l
 def _source_chart(resolved: dict, state: _RunState) -> tuple:
     p = _params(SourceParams, resolved, _TARGETS[TARGET_SOURCE].aliases)
     n = resolved["x_count"]
-    x_values = [p.l_x * (i + 1) / (n + 1) for i in range(n)]
+    x_values = _sweep_values(0.0, p.l_x, n + 2)[1:-1]  # finite for a finite l_x
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
     s = chart_delta_e(p, x_values, grid)
     ys = [_fmt(y) for y in grid.points().tolist()]
@@ -654,8 +654,6 @@ def run(spec: SweepSpec) -> int:
             name = target.aliases.get(exc.name, exc.name)
             failure = 2, (f"config error: bad value for key {name!r}: "
                           f"{str(exc).replace(exc.name, name)}")
-        except OverflowError:  # float ** says only "(34, 'Numerical result ...')"
-            failure = 1, f"{spec.target}: computation failed: floating-point overflow"
         except Exception as exc:  # computation failure inside a module
             failure = 1, f"{spec.target}: computation failed: {exc}"
         else:

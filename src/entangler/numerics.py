@@ -159,54 +159,44 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float,
 
 def erfcx(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled complementary error function exp(x^2) * erfc(x), of a float or
-    elementwise of an array.
+    elementwise of an array; a scalar or 0-d input gives a float.
 
     Stable for all real x: the naive product overflows near x = 26.6 and the
-    direct erfc underflows, so large arguments use the asymptotic series
-    1/(x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k instead. Negative x
-    uses the reflection erfcx(-x) = 2 exp(x^2) - erfcx(x); the function
-    itself overflows to inf once 2 exp(x^2) does (x < -26.64).
-
-    A scalar or 0-d input gives a float. An array gives an array of its
-    shape, bit-identical to the scalar function at each element: samples in
-    [0, 8) take the same libm exp and erfc over the whole array in one pass,
-    and every other sample goes through the scalar code.
+    direct erfc underflows, so |x| >= 8 uses the asymptotic series
+    1/(x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k instead, and |x| < 8
+    libm's exp and erfc per sample. Negative x uses the reflection
+    erfcx(-x) = 2 exp(x^2) - erfcx(x); the function itself overflows to inf
+    once 2 exp(x^2) does (x < -26.64). One vectorised path for all samples.
     """
-    if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        return _erfcx_scalar(float(x))
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    product = (x >= 0.0) & (x < 8.0)  # nan compares false: scalar code
-    xp = x[product]
+    a = np.asarray(x, dtype=float)
+    flat = a.ravel()
+    negative = flat < 0.0
+    out = np.where(negative, -flat, flat)  # erfcx(|x|), reflected last
+    product = out < 8.0  # nan compares false here and below: it stays as is
+    t = out[product]
     # math.exp, not np.exp: the two differ by an ulp on some of these samples.
-    out[product] = (np.fromiter(map(math.exp, (xp * xp).tolist()), float, xp.size)
-                    * np.fromiter(map(math.erfc, xp.tolist()), float, xp.size))
-    rest = ~product
-    out[rest] = [_erfcx_scalar(v) for v in x[rest].tolist()]
-    return out
-
-
-def _erfcx_scalar(x: float) -> float:
-    if x != x:
-        return x
-    if x < 0.0:
-        x2 = x * x
-        if x2 > 709.0:
-            return math.inf
-        return 2.0 * math.exp(x2) - _erfcx_scalar(-x)
-    if x < 8.0:
-        return math.exp(x * x) * math.erfc(x)
-    # Asymptotic series: terms fall below double rounding well before they
-    # start diverging for x >= 8.
-    inv2x2 = 1.0 / (2.0 * x * x)
-    total = 1.0
-    term = 1.0
-    for k in range(1, 30):
-        term *= -(2 * k - 1) * inv2x2
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total / (x * _SQRT_PI)
+    out[product] = (np.fromiter(map(math.exp, (t * t).tolist()), float, t.size)
+                    * np.fromiter(map(math.erfc, t.tolist()), float, t.size))
+    series = out >= 8.0
+    with np.errstate(all="ignore"):  # x * x overflows to inf past ~1.3e154
+        if series.any():
+            t = out[series]
+            inv2x2 = 1.0 / (2.0 * t * t)
+            total, term = np.ones(t.size), np.ones(t.size)
+            # Terms shrink for x >= 8, k < 30: once a sample's term is below 1e-18
+            # of its sum, later ones are below half its ulp and leave its bits.
+            for k in range(1, 30):
+                term *= -(2 * k - 1) * inv2x2
+                total += term
+                if (np.abs(term) < 1e-18 * np.abs(total)).all():
+                    break
+            out[series] = total / (t * _SQRT_PI)
+        if negative.any():
+            x2 = flat[negative] * flat[negative]
+            e = np.fromiter(map(math.exp, np.minimum(x2, 709.0).tolist()), float, x2.size)
+            out[negative] = np.where(x2 > 709.0, math.inf, 2.0 * e - out[negative])
+    out = out.reshape(a.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass

@@ -23,10 +23,10 @@ treatment of the 2D logarithmic interaction.
 
 Any SourceParams field may hold an array, one value per point of a sweep;
 build_hmatrix and spin_split then work on every point at once, and each
-point gets the bits the scalar arithmetic gives it. An overflow is inf or
-nan in its point's entries or energies, for the caller to check; the
-errors raised (domain, zero kinetic denominator, math domain in the
-log-Coulomb term) hold for a leading run of an increasing sweep's points.
+point gets the bits the scalar arithmetic gives it. An overflow, or a
+division by an underflowed zero, is inf or nan in its point's entries or
+energies, for the caller to check; the errors raised (domain, math domain in
+the log-Coulomb term) hold for a leading run of an increasing sweep's points.
 """
 from __future__ import annotations
 
@@ -99,8 +99,10 @@ class SpinSplitResult:
 
 
 def _transverse_density(p: SourceParams, x: float) -> float:
-    """|phi(x)|^2 for the normalized sin profile on [0, L_x]."""
-    return (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
+    """|phi(x)|^2 for the normalized sin profile on [0, L_x]; where pi x
+    overflows, the phase is taken on x/4 and L_x/4, which keeps its bits."""
+    s = 1.0 if math.isfinite(math.pi * x) else 0.25
+    return (2.0 / p.l_x) * math.sin(math.pi * (x * s) / (p.l_x * s)) ** 2
 
 
 # Terms of the Si power series: at z = 2 pi the 22nd term is below 1e-20.
@@ -163,10 +165,7 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
     """
     with np.errstate(all="ignore"):
         l_x2 = np.float_power(p.l_x, 2)
-        box = 2.0 * p.m_eff * l_x2
-        if np.any(box == 0.0):
-            raise ZeroDivisionError("float division by zero")
-        kinetic_x = math.pi ** 2 / box
+        kinetic_x = math.pi ** 2 / (2.0 * p.m_eff * l_x2)
         kinetic_y = np.float_power(p.k, 2) / (2.0 * p.m_eff)
         # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
         harmonic_x = (0.5 * p.m_eff * np.float_power(p.omega, 2) * l_x2
@@ -234,7 +233,7 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
         if not 0.0 < x < p.l_x:
             raise ValueError(f"x = {x} outside the open interval (0, {p.l_x})")
     with np.errstate(all="ignore"):  # a value that overflows is inf, named below
-        l_x2, k2, omega2 = map(float, np.float_power((p.l_x, p.k, p.omega), 2))
+        l_x2, k2, omega2 = np.float_power((p.l_x, p.k, p.omega), 2)
         kinetic = math.pi ** 2 / (2.0 * p.m_eff * l_x2) + k2 / (2.0 * p.m_eff)
         ys = y_grid.points()
         x = np.repeat(x_values, len(ys))

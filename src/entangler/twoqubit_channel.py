@@ -92,8 +92,9 @@ class TwoQubitMatrix:
 
 
 def _vc_radicand(p: TwoQubitParams) -> float:
-    """1 - lam^2 / (2 fermi_l^2), the radicand of the closed form of <V_c>."""
-    return 1.0 - p.lam ** 2 / (2.0 * p.fermi_l ** 2)
+    """1 - lam^2 / (2 fermi_l^2) in float64, the radicand of the closed form of <V_c>."""
+    with np.errstate(all="ignore"):
+        return 1.0 - np.float64(p.lam) ** 2 / (2.0 * np.float64(p.fermi_l) ** 2)
 
 
 def _vc_expectation(p: TwoQubitParams) -> float:
@@ -119,18 +120,21 @@ def _vc_expectation(p: TwoQubitParams) -> float:
 
 
 def expectations(p: TwoQubitParams) -> tuple[float, complex]:
-    """(<H0>, <H_R>) over the product-Gaussian two-qubit wavefunction."""
-    zero_point = 1.0 / (4.0 * p.m_eff * p.lam ** 2)
-    plane_wave = p.k ** 2 / (2.0 * p.m_eff) if p.wave_direction == ALONG_Y else 0.0
-    quartic = 3.0 * p.m_eff * p.omega ** 2 * p.a_b ** 2 / 32.0
-    h0 = zero_point + plane_wave + quartic + _vc_expectation(p)
+    """(<H0>, <H_R>) over the product-Gaussian two-qubit wavefunction. <H0> is
+    float64 arithmetic: an overflow is inf or nan, for build_matrix to name."""
+    m_eff, lam, k, omega, a_b = map(np.float64, (p.m_eff, p.lam, p.k, p.omega, p.a_b))
+    with np.errstate(all="ignore"):
+        zero_point = 1.0 / (4.0 * m_eff * lam ** 2)
+        plane_wave = k ** 2 / (2.0 * m_eff) if p.wave_direction == ALONG_Y else 0.0
+        quartic = 3.0 * m_eff * omega ** 2 * a_b ** 2 / 32.0
+        h0 = float(zero_point + plane_wave + quartic + _vc_expectation(p))
     hr = complex(p.alpha_r * p.k) if p.wave_direction == ALONG_Y else 0.0 + 0.0j
     return h0, hr
 
 
 def build_matrix(h0: float, hr: complex) -> TwoQubitMatrix:
-    if not (math.isfinite(h0) and cmath.isfinite(hr)):
-        raise ValueError("h0 and hr must be finite")
+    if not (math.isfinite(h0) and cmath.isfinite(hr)):  # check_finite's wording
+        raise ValueError(f"non-finite {'hr' if math.isfinite(h0) else 'h0'}")
     return TwoQubitMatrix(h0=float(h0), hr=complex(hr))
 
 
@@ -200,10 +204,11 @@ def claimed_vs_numeric(m: TwoQubitMatrix) -> EigenReport:
     h0, hr = complex(m.h0), complex(m.hr)
     degenerate = abs(hr) >= abs(h0)
     singular_vectors = degenerate or abs(hr) <= 1e-14 * max(1.0, abs(h0))
-    vals, vecs = _closed_form_pairs(h0, hr, singular_vectors, numeric)
-    residuals = [float(np.linalg.norm(a @ v - lam * v)) for lam, v in zip(vals, vecs)]
-    forward = max(min(abs(c - n) for n in numeric.eigenvalues) for c in vals)
-    backward = max(min(abs(n - c) for c in vals) for n in numeric.eigenvalues)
+    with np.errstate(all="ignore"):  # an overflow is inf or nan in the report
+        vals, vecs = _closed_form_pairs(h0, hr, singular_vectors, numeric)
+        residuals = [float(np.linalg.norm(a @ v - lam * v)) for lam, v in zip(vals, vecs)]
+        forward = max(min(abs(c - n) for n in numeric.eigenvalues) for c in vals)
+        backward = max(min(abs(n - c) for c in vals) for n in numeric.eigenvalues)
     return EigenReport(
         h0=m.h0,
         hr=m.hr,

@@ -566,33 +566,56 @@ def run_fresh(args, cwd=None):
 
 @pytest.mark.parametrize("command,setting", [
     ("channel", "m_eff=1e300"), ("channel", "g=1e-300"),
-    ("source", "l_x=1e300"), ("source", "y_max=1e300")])
+    ("source", "l_x=1e300"), ("source", "y_max=1e300"),
+    ("twoqubit", "m_eff=1e300"), ("twoqubit", "alpha_r=1e300")])
 def test_overflow_fails_with_one_stderr_line(tmp_path, command, setting):
-    # numpy overflows on the way to the non-finite channel energy or chart
-    # column; only the failure line reaches stderr, with no source path
-    # from a RuntimeWarning
+    # numpy overflows on the way to the non-finite channel energy, chart
+    # column or twoqubit report column; only the failure line reaches
+    # stderr, with no source path from a RuntimeWarning
     proc = run_fresh([command, "--set", setting, "--out", "x.csv"], cwd=tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith({
         "channel": "channel_qlm: computation failed: iteration 1: ",
-        "source": "source_delta_e: computation failed: non-finite "}[command])
+        "source": "source_delta_e: computation failed: non-finite ",
+        "twoqubit": "twoqubit_eigen: computation failed: non-finite "}[command])
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["twoqubit", "--set", "k=1e200"],
                                   ["channel", "--set", "omega=1e200"],
-                                  ["twoqubit", "--set", "a_b=1e200"]])
+                                  ["twoqubit", "--set", "a_b=1e200"],
+                                  # 4 m lambda^2 and a^2 underflow to zero
+                                  ["twoqubit", "--set", "lambda=1e-300"],
+                                  ["channel", "--set", "a=5e-324"]])
 def test_float_overflow_is_named_in_the_failure_line(tmp_path, argv):
-    # Python's float ** raises OverflowError with the bare errno text
-    # "(34, 'Numerical result out of range')"
+    # A square that overflows is inf, and so is a division by one that
+    # underflows to zero: the finite check of the kernel names a column, or
+    # the iterate, not Python's bare errno text "(34, 'Numerical result out
+    # of range')" or "float division by zero"
     proc = run_fresh(argv + ["--out", "x.csv"], cwd=tmp_path)
     assert proc.returncode == 1
     line = proc.stderr.decode().splitlines()[0]
-    assert line.endswith(": computation failed: floating-point overflow")
-    assert "overflow" in line and "(34," not in line
+    assert line == {"twoqubit": "twoqubit_eigen: computation failed: non-finite h0",
+                    "channel": "channel_qlm: computation failed: iteration 1: "
+                               "non-finite energy"}[argv[0]]
+    assert "(34," not in line and "division by zero" not in proc.stderr.decode()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_point_term_underflows_to_its_double_value():
+    # 1/(4 m lambda^2) is below the smallest double: 0, so h0 = k^2/2 + 3/32
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o")
+        assert run_main(["twoqubit", "--set", "lambda=1e300", "--out", out]) == (0, "")
+        row = Path(out).read_text().splitlines()[1].split(",")
+        assert float(row[0]) == 0.59375
+    # with a Coulomb term, lambda^2 = inf fails the radicand check: exit 2
+    rc, err = run_main(["twoqubit", "--set", "lambda=1e300", "--set", "coulomb_k=0.5",
+                        "--out", os.devnull])
+    assert rc == 2
+    assert err.startswith("config error: bad value for key 'lambda': ")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -644,7 +667,19 @@ def test_sweep_range_with_finite_endpoints_runs_to_its_stop(argv, code, last, fm
 def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
     """At m_eff = 1e-200 the diagonal is near 1e200: its square overflows,
     the energies do not, and both runs take the degenerate branch of the
-    one spin_split, since 2 alpha_r k is far below 1e-7 of the diagonal."""
+    one spin_split, since 2 alpha_r k is far below 1e-7 of the diagonal.
+    Where the kinetic denominator 2 m l_x^2 underflows to zero, or pi x
+    overflows at the largest l_x, both fail naming the same column."""
+    failed = (1, "source_delta_e: computation failed: non-finite e_up\n")
+    for sets in (("m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170"),
+                 ("l_x=1.7976931348623157e308",)):
+        argv = ["source"] + [a for pair in sets for a in ("--set", pair)]
+        l_x = dict(pair.split("=") for pair in sets)["l_x"]
+        assert run_main(argv + ["--out", str(tmp_path / "c")]) == failed
+        assert run_main(argv + ["--set", "sweep_key=l_x", "--set",
+                                f"sweep_range={l_x},{l_x},1",
+                                "--out", str(tmp_path / "s")]) == failed
+    assert not any(tmp_path.glob("[cs]*"))
     chart, sweep = tmp_path / "chart.csv", tmp_path / "sweep.csv"
     assert run_main(["source", "--set", "m_eff=1e-200", "--out", str(chart)]) == (0, "")
     assert run_main(["source", "--set", "sweep_key=m_eff", "--set",
@@ -664,7 +699,7 @@ def test_twoqubit_sweep_fails_as_its_first_point_before_a_later_build_failure():
     first = run_main(base + ["--set", "sweep_range=1e150,1e150,1"])
     second = run_main(base + ["--set", "sweep_range=2e154,2e154,1"])
     assert first == (1, "twoqubit_eigen: computation failed: non-finite e4_re\n")
-    assert second == (1, "twoqubit_eigen: computation failed: floating-point overflow\n")
+    assert second == (1, "twoqubit_eigen: computation failed: non-finite h0\n")
     assert run_main(base + ["--set", "sweep_range=1e150,2e154,2"]) == first
 
 

@@ -99,7 +99,7 @@ class TestErfcx:
         assert erfcx(-30.0) == math.inf
 
 
-# Each branch of the scalar code and its edges: the sign, the switch to the
+# Each branch of erfcx and its edges: the sign, the switch to the
 # series at 8, the product overflow near 26.6, the reflection overflow below
 # -26.64, the largest magnitudes and the non-finite values.
 ERFCX_EDGES = [-0.0, 0.0, 8.0, math.nextafter(8.0, 0.0), math.nextafter(8.0, 9.0),
@@ -139,6 +139,24 @@ class TestErfcxArray:
         out = erfcx(np.array(x))
         assert type(out) is float
         assert float_bits([out]) == float_bits([erfcx(x)])
+
+
+@pytest.mark.parametrize("low, high, log", [(8.0, 1e300, True), (-26.6, 0.0, False)])
+def test_erfcx_within_8_ulp_of_scipy(low, high, log):
+    # An independent implementation (the Faddeeva package's, in scipy) on
+    # seeded samples of the series and the reflection: every sample takes
+    # one path, so the array-against-scalar tests above compare it with
+    # itself. A log-uniform draw covers [8, 1e300) up to the largest decade.
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20)
+    if log:
+        x = 10.0 ** rng.uniform(math.log10(low), math.log10(high), 20_000)
+    else:
+        x = rng.uniform(low, high, 20_000)
+    ours, ref = erfcx(x), special.erfcx(x)
+    assert (ours > 0).all() and (ref > 0).all()
+    # positive doubles order as their bit patterns: the difference is in ulps
+    assert np.abs(ours.view(np.int64) - ref.view(np.int64)).max() <= 8
 
 
 def eigen_residuals(m, sys):

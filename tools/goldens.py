@@ -80,6 +80,17 @@ CONFIG_RUNS = (
 # Values outside a domain whose message names a parameter field.
 DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
                ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"))
+# Runs that reach code no run above reaches: the harmonic preset, erfcx's
+# asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), a zero
+# kinetic denominator in a chart and in its one-point sweep, and a zero-point
+# term 1 / (4 m lambda^2) whose denominator underflows.
+REACH_RUNS = (("channel", "potential=harmonic"),
+              ("channel", "potential=harmonic", "omega=1e300"),
+              ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
+              ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170"),
+              ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170",
+               "sweep_key=l_x", "sweep_range=1e-160,1e-160,1"),
+              ("twoqubit", "lambda=1e-300"))
 
 
 def _sets(*pairs: str) -> list[str]:
@@ -128,6 +139,9 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
             for value in EXTREME_VALUES:
                 runs.append((f"{command} {key}={value}",
                              [command, "--out", "out"] + _sets(f"{key}={value}"), None))
+    for command, *pairs in REACH_RUNS:
+        runs.append((f"{command} {' '.join(pairs)}",
+                     [command, "--out", "out"] + _sets(*pairs), None))
     return runs
 
 
