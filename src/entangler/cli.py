@@ -307,9 +307,8 @@ def _rows(columns, *arrays) -> list[tuple]:
 
 
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
-# describes the first point of its run. A sweep fails as its first failing
-# point would alone: an overflow is inf or nan that a finite check names at
-# its first row, and the source kernels raise only for a leading run of values.
+# describes the first point of its run. An overflow is inf or nan that a
+# finite check names at its first row; _sweep_rows orders domain errors.
 
 _SOURCE_COLUMNS = ("e_up", "e_down", "delta_e")
 _CHART_COLUMNS = ("x", "y", "e_up", "e_down", "delta_e")
@@ -376,36 +375,24 @@ def _channel_point(resolved: dict, key: str | None, values: list,
     return rows
 
 
-def _twoqubit_matrix(resolved: dict) -> TwoQubitMatrix:
-    p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
-    return build_matrix(*expectations(p))
-
-
 def _twoqubit_point(resolved: dict, key: str, values: list,
                     state: _RunState) -> list[tuple]:
-    """The matrices are built point by point, in sweep order (build_matrix
-    refuses non-finite entries); their eigenvalues come from one stacked
-    solve. A point that fails to build raises once the points before it
-    have passed."""
-    h0, hr = [], []
-    for i, value in enumerate(values):
-        try:
-            m = _twoqubit_matrix({**resolved, key: value})
-        except Exception:
-            if i:  # an earlier row that is not finite fails first
-                _twoqubit_point(resolved, key, values[:i], state)
-            raise
-        h0.append(m.h0)
-        hr.append(m.hr)
-    m = TwoQubitMatrix(h0=np.array(h0), hr=np.array(hr))
-    ev = eigen_small(m.matrix).eigenvalues
-    ev_parts = np.stack([ev.real, ev.imag], axis=-1).reshape(-1, 8).T  # e1_re .. e4_im
-    return _rows((key,) + _TWOQUBIT_COLUMNS, np.array(values), m.h0, m.hr.real,
-                 m.hr.imag, *ev_parts)
+    """Every point in one array pass: the finite matrices go through one
+    stacked solve and the others get NaN eigenvalues, so the first row that
+    is not finite fails, at h0 or hr as build_matrix names them."""
+    swept = np.array(values)
+    p = _params(TwoQubitParams, {**resolved, key: swept}, _TARGETS[TARGET_TWOQUBIT].aliases)
+    h0, hr = (np.broadcast_to(a, swept.shape) for a in expectations(p))
+    finite = np.isfinite(h0) & np.isfinite(hr)
+    ev = np.full((len(values), 4), np.nan, dtype=complex)
+    ev[finite] = eigen_small(TwoQubitMatrix(h0[finite], hr[finite]).matrix).eigenvalues
+    return _rows((key, "h0", "hr", "hr") + _TWOQUBIT_COLUMNS[3:], swept, h0, hr.real,
+                 hr.imag, *ev.view(float).T)  # e1_re, e1_im .. e4_im
 
 
 def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
-    report = claimed_vs_numeric(_twoqubit_matrix(resolved))
+    p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
+    report = claimed_vs_numeric(build_matrix(*expectations(p)))
     # np.max, not max: Python's max passes over a NaN residual
     row = (report.h0, report.hr.real, report.hr.imag,
            np.max(report.claimed_residuals), report.eigenvalue_set_distance,
@@ -624,6 +611,18 @@ def _write_files(files: dict) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
+def _sweep_rows(target: _Target, resolved: dict, key: str | None, values: list,
+                state: _RunState) -> list[tuple]:
+    """target.point's rows, or the failure of its first failing point alone:
+    a domain error first at point i > 0 is raised once the points before pass."""
+    try:
+        return target.point(resolved, key, values, state)
+    except DomainError as exc:
+        if exc.index:
+            _sweep_rows(target, resolved, key, values[:exc.index], state)
+        raise
+
+
 def run(spec: SweepSpec) -> int:
     """Execute a spec: compute the table, then write output plus manifest.
 
@@ -647,7 +646,7 @@ def run(spec: SweepSpec) -> int:
                 lead = key is not None and key not in target.columns
                 columns = ((key,) if lead else ()) + target.columns
                 values = [None] if key is None else _sweep_values(*spec.sweep_range)
-                rows, report = target.point(resolved, key, values, state), None
+                rows, report = _sweep_rows(target, resolved, key, values, state), None
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"
         except DomainError as exc:

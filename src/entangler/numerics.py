@@ -38,23 +38,23 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 class DomainError(ValueError):
-    """A parameter outside its domain; ``name`` is the field that holds it."""
+    """A parameter outside its domain; ``name`` is the field that holds it and
+    ``index`` the first point of a sweep where it fails (0 for one point)."""
 
-    def __init__(self, name: str, message: str):
+    def __init__(self, name: str, message: str, index: int = 0):
         super().__init__(message)
-        self.name = name
+        self.name, self.index = name, index
 
 
 def first_failure(bad, *values):
-    """None where bad holds nowhere, else the values at its first point. bad
-    is a bool or a bool array over the points of a sweep; array values come
-    back as Python scalars."""
-    if not isinstance(bad, np.ndarray):
-        return values if bad else None
-    if not bad.any():
+    """None where bad holds nowhere, else (i, the values at point i), i the
+    first point where it holds. bad is a bool (i = 0) or a bool array over
+    the points of a sweep; array values come back as Python scalars."""
+    array = isinstance(bad, np.ndarray)
+    if not (bad.any() if array else bad):
         return None
-    i = int(bad.argmax())
-    return tuple(v[i].item() if isinstance(v, np.ndarray) else v for v in values)
+    i = int(bad.argmax()) if array else 0
+    return (i,) + tuple(v[i].item() if isinstance(v, np.ndarray) else v for v in values)
 
 
 def check_domain(params, positive=(), non_negative=()) -> None:
@@ -67,7 +67,7 @@ def check_domain(params, positive=(), non_negative=()) -> None:
             value = getattr(params, name)
             bad = first_failure(fails(value, 0), value)
             if bad:
-                raise DomainError(name, f"{name} must be {word}, got {bad[0]}")
+                raise DomainError(name, f"{name} must be {word}, got {bad[1]}", bad[0])
 
 
 def check_finite(names, columns) -> None:

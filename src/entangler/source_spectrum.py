@@ -25,8 +25,7 @@ Any SourceParams field may hold an array, one value per point of a sweep;
 build_hmatrix and spin_split then work on every point at once, and each
 point gets the bits the scalar arithmetic gives it. An overflow, or a
 division by an underflowed zero, is inf or nan in its point's entries or
-energies, for the caller to check; the errors raised (domain, math domain in
-the log-Coulomb term) hold for a leading run of an increasing sweep's points.
+energies, for the caller to check; the only error raised is a DomainError.
 """
 from __future__ import annotations
 
@@ -47,9 +46,6 @@ __all__ = [
     "chart_delta_e",
 ]
 
-_DEGENERATE_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Lead parameters; any field may be an array over the points of a sweep."""
@@ -69,9 +65,9 @@ class SourceParams:
                      non_negative=("beta", "alpha_r"))
         bad = first_failure(self.reg_delta >= self.l_x / 10.0, self.reg_delta, self.l_x)
         if bad:
-            reg_delta, l_x = bad
+            i, reg_delta, l_x = bad
             raise DomainError("reg_delta", f"reg_delta = {reg_delta} must be below "
-                                           f"l_x / 10 = {l_x / 10.0}")
+                                           f"l_x / 10 = {l_x / 10.0}", i)
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,16 @@ def _si(z: float) -> float:
 
 
 def _bracket(l_x: float, r_coulomb: float, reg_delta: float) -> float:
-    """F(L) - F(delta) of build_hmatrix's log-Coulomb term."""
+    """F(L) - F(delta) of build_hmatrix's log-Coulomb term; ln(x/R) is
+    ln x - ln R where x/R underflows to 0, and nan where 2 pi/L overflows
+    (so does the box term pi^2/(2 m* L^2) of that L)."""
     c = 2.0 * math.pi / l_x
+    if math.isinf(c):
+        return math.nan
 
     def antiderivative(x: float) -> float:
-        log_x = math.log(x / r_coulomb)
+        ratio = x / r_coulomb
+        log_x = math.log(ratio) if ratio else math.log(x) - math.log(r_coulomb)
         return x * log_x - x - (math.sin(c * x) * log_x - _si(c * x)) / c
 
     return antiderivative(l_x) - antiderivative(reg_delta)
@@ -177,10 +178,9 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 
 
 def spin_split(h: HMatrix2) -> SpinSplitResult:
-    """Closed-form eigenvalue pair of the 2x2 matrix (energies only), reading
-    the discriminant as (h11-h22)^2 + 4 h12 h21. Below 1e-14 of the squared
-    matrix scale max(1, |h_ij|)^2 it is degenerate: both energies are the
-    mean diagonal.
+    """Closed-form eigenvalue pair of the 2x2 matrix and their splitting, the
+    root of the discriminant (h11-h22)^2 + 4 h12 h21 (not e_down - e_up,
+    which cancels against the diagonal).
 
     Entries may be arrays, one matrix per point. The arithmetic runs on the
     entries times 2^-e, 2^e <= max(1, |h_ij|) < 2^(e+1), and the energies
@@ -198,19 +198,13 @@ def spin_split(h: HMatrix2) -> SpinSplitResult:
         down = np.ldexp(1.0, -e)
         h11, h12, h21, h22 = (np.asarray(v) * down for v in (h.h11, h.h12, h.h21, h.h22))
         disc = (h11 - h22) ** 2 + 4.0 * h12 * h21
-        top = top * down  # in [1, 2)
-        degenerate = np.abs(disc) < _DEGENERATE_TOL * (top * top)
         root = np.emath.sqrt(disc)
         root = np.where((root.real < 0) | ((root.real == 0) & (root.imag < 0)),
                         -root, root)
         total = h11 + h22
-        e_up = 0.5 * (total - root)
-        e_down = 0.5 * (total + root)
-        mean = (0.5 * total).real
-        return SpinSplitResult(
-            e_up=np.ldexp(np.where(degenerate, mean, e_up.real), e)[()],
-            e_down=np.ldexp(np.where(degenerate, mean, e_down.real), e)[()],
-            delta_e=np.ldexp(np.where(degenerate, 0.0, (e_down - e_up).real), e)[()])
+        return SpinSplitResult(e_up=np.ldexp((0.5 * (total - root)).real, e)[()],
+                               e_down=np.ldexp((0.5 * (total + root)).real, e)[()],
+                               delta_e=np.ldexp(root.real, e)[()])
 
 
 def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:

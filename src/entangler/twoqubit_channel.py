@@ -9,9 +9,8 @@ confinement (by Gaussian moments: E[x^2] = a_B^2/2, E[x^4] = 3 a_B^4/4), and
 the screened 1D Coulomb term, whose Gaussian average has the closed form
 sqrt(pi/2) (K/l) / sqrt(1 - lam^2 / (2 l^2)) (K = coulomb_k, l = fermi_l)
 because erf is odd (Ng & Geller, J. Res. NBS 73B (1969) 1; see
-_vc_expectation); the Rashba
-expectation is <H_R> = -i alpha <d/dy>, which is alpha k for propagation
-along y and zero along x.
+_vc_expectation); the Rashba expectation is <H_R> = -i alpha <d/dy>, which
+is alpha k for propagation along y and zero along x.
 
 The 4x4 matrix is reproduced exactly as the claimed pattern
 
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, EigenSystem, check_domain, eigen_small
+from .numerics import DomainError, EigenSystem, check_domain, eigen_small, first_failure
 
 __all__ = [
     "ALONG_X",
@@ -50,6 +49,8 @@ ALONG_X = "along_x"
 
 @dataclass(frozen=True)
 class TwoQubitParams:
+    """Channel parameters; any float field may be an array over sweep points."""
+
     m_eff: float = 1.0
     omega: float = 1.0
     a_b: float = 1.0
@@ -66,11 +67,13 @@ class TwoQubitParams:
         if self.wave_direction not in (ALONG_Y, ALONG_X):
             raise DomainError("wave_direction",
                               f"wave_direction must be {ALONG_Y!r} or {ALONG_X!r}")
-        if self.coulomb_k > 0 and _vc_radicand(self) <= 0.0:
+        bad = first_failure((self.coulomb_k > 0) & (_vc_radicand(self) <= 0.0),
+                            self.lam, self.fermi_l)
+        if bad:
             raise DomainError(
                 "lam", "Coulomb expectation diverges unless lam < sqrt(2) * fermi_l, "
                        "i.e. 1 - lam^2 / (2 fermi_l^2) > 0 "
-                       f"(got lam = {self.lam}, fermi_l = {self.fermi_l})")
+                       f"(got lam = {bad[1]}, fermi_l = {bad[2]})", bad[0])
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,12 @@ class TwoQubitMatrix:
 
 
 def _vc_radicand(p: TwoQubitParams) -> float:
-    """1 - lam^2 / (2 fermi_l^2) in float64, the radicand of the closed form of <V_c>."""
+    """1 - lam^2 / (2 fermi_l^2) in float64, the radicand of the closed form of
+    <V_c>; 1 - (lam / fermi_l)^2 / 2 where that is not finite (inf / inf)."""
     with np.errstate(all="ignore"):
-        return 1.0 - np.float64(p.lam) ** 2 / (2.0 * np.float64(p.fermi_l) ** 2)
+        plain = 1.0 - np.float_power(p.lam, 2) / (2.0 * np.float_power(p.fermi_l, 2))
+        ratio = np.float_power(p.lam / p.fermi_l, 2)
+        return np.where(np.isfinite(plain), plain, 1.0 - ratio / 2.0)[()]
 
 
 def _vc_expectation(p: TwoQubitParams) -> float:
@@ -111,24 +117,24 @@ def _vc_expectation(p: TwoQubitParams) -> float:
         <V_c> = sqrt(pi/2) (K/l) / sqrt(1 - lam^2 / (2 l^2)),
 
     finite exactly where the radicand is positive, which TwoQubitParams
-    checks.
+    checks, and 0 where K is.
     """
-    if p.coulomb_k == 0.0:
-        return 0.0
-    return (math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l
-            / math.sqrt(_vc_radicand(p)))
+    with np.errstate(all="ignore"):
+        vc = math.sqrt(math.pi / 2.0) * p.coulomb_k / p.fermi_l / np.sqrt(_vc_radicand(p))
+        return np.where(p.coulomb_k == 0.0, 0.0, vc)[()]
 
 
 def expectations(p: TwoQubitParams) -> tuple[float, complex]:
-    """(<H0>, <H_R>) over the product-Gaussian two-qubit wavefunction. <H0> is
-    float64 arithmetic: an overflow is inf or nan, for build_matrix to name."""
-    m_eff, lam, k, omega, a_b = map(np.float64, (p.m_eff, p.lam, p.k, p.omega, p.a_b))
+    """(<H0>, <H_R>) over the product-Gaussian two-qubit wavefunction, arrays
+    where a field they depend on is one. Float64 arithmetic, squares by C's
+    pow as in np.float_power: an overflow is inf or nan, for the caller."""
+    along_y = p.wave_direction == ALONG_Y
     with np.errstate(all="ignore"):
-        zero_point = 1.0 / (4.0 * m_eff * lam ** 2)
-        plane_wave = k ** 2 / (2.0 * m_eff) if p.wave_direction == ALONG_Y else 0.0
-        quartic = 3.0 * m_eff * omega ** 2 * a_b ** 2 / 32.0
-        h0 = float(zero_point + plane_wave + quartic + _vc_expectation(p))
-    hr = complex(p.alpha_r * p.k) if p.wave_direction == ALONG_Y else 0.0 + 0.0j
+        zero_point = 1.0 / (4.0 * p.m_eff * np.float_power(p.lam, 2))
+        plane_wave = np.float_power(p.k, 2) / (2.0 * p.m_eff) if along_y else 0.0
+        quartic = 3.0 * p.m_eff * np.float_power(p.omega, 2) * np.float_power(p.a_b, 2) / 32
+        h0 = zero_point + plane_wave + quartic + _vc_expectation(p)
+        hr = np.asarray(p.alpha_r * p.k if along_y else 0.0, dtype=complex)[()]
     return h0, hr
 
 

@@ -618,6 +618,40 @@ def test_zero_point_term_underflows_to_its_double_value():
     assert err.startswith("config error: bad value for key 'lambda': ")
 
 
+def test_coulomb_radicand_where_both_squares_overflow():
+    # lambda^2 / (2 fermi_l^2) is inf / inf; the radicand is 1 - (lambda /
+    # fermi_l)^2 / 2 there: 1/2 runs (the Coulomb term is ~1e-300), 2 is
+    # out of domain
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "o")
+        argv = ["twoqubit", "--set", "fermi_l=1e300", "--set", "coulomb_k=0.5"]
+        assert run_main(argv + ["--set", "lambda=1e300", "--out", out]) == (0, "")
+        assert float(Path(out).read_text().splitlines()[1].split(",")[0]) == 0.59375
+        rc, err = run_main(argv + ["--set", "lambda=2e300", "--out", out + "2"])
+        assert rc == 2
+        assert err.startswith("config error: bad value for key 'lambda': Coulomb "
+                              "expectation diverges unless lambda < sqrt(2) * fermi_l")
+
+
+def test_log_coulomb_term_where_delta_over_r_underflows():
+    # reg_delta / r_coulomb underflows to 0: ln delta - ln R, and delta ln delta
+    # is far below the bracket's ulp, so the row is that of reg_delta = 1e-300
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for reg_delta in ("5e-324", "1e-300"):
+            out = os.path.join(tmp, reg_delta)
+            assert run_main(["source", "--set", f"reg_delta={reg_delta}", "--set",
+                             "r_coulomb=2", "--set", "sweep_key=k", "--set",
+                             "sweep_range=1,1,1", "--out", out]) == (0, "")
+            rows.append(Path(out).read_text())
+    assert rows[0] == rows[1]
+    # 2 pi / l_x overflows: so does the box term, and the row is not finite
+    assert run_main(["source", "--set", "l_x=1e-322", "--set", "reg_delta=5e-324",
+                     "--set", "sweep_key=k", "--set", "sweep_range=1,1,1",
+                     "--out", os.devnull]) == (
+        1, "source_delta_e: computation failed: non-finite e_up\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv, column", [
     # the claimed +-sqrt(h0^2 - hr^2) pair overflows: NaN residuals
@@ -666,8 +700,8 @@ def test_sweep_range_with_finite_endpoints_runs_to_its_stop(argv, code, last, fm
 
 def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
     """At m_eff = 1e-200 the diagonal is near 1e200: its square overflows,
-    the energies do not, and both runs take the degenerate branch of the
-    one spin_split, since 2 alpha_r k is far below 1e-7 of the diagonal.
+    the energies do not, and both runs give delta_e = 0, since (alpha_r k)^2
+    scaled by the diagonal's 2^-e underflows in the one spin_split.
     Where the kinetic denominator 2 m l_x^2 underflows to zero, or pi x
     overflows at the largest l_x, both fail naming the same column."""
     failed = (1, "source_delta_e: computation failed: non-finite e_up\n")

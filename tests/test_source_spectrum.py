@@ -209,8 +209,7 @@ def chart_cases():
     cases = [random_params(rng) for _ in range(12)]
     cases += [SourceParams(**{**DEFAULTS, "alpha_r": 10.0 ** rng.uniform(-9.0, -6.0)})
               for _ in range(6)]
-    # alpha_r = 0, 1e-12 and 3e-9 take the degenerate branch everywhere;
-    # 1e-7 crosses its threshold inside the chart.
+    # splittings far below the diagonal, and none at alpha_r = 0
     cases += [SourceParams(**{**DEFAULTS, "alpha_r": a})
               for a in (0.0, 1e-12, 3e-9, 1e-7)]
     cases += [SourceParams(**{**DEFAULTS, "k": -1.3}),
@@ -233,9 +232,26 @@ def test_chart_equals_per_point_spin_split_bit_for_bit(case):
         [tuple(float(v).hex() for v in r) for r in expected]
 
 
-def test_chart_degenerate_threshold_crossed_inside():
+def assert_within_2_ulp(got, exact):
+    assert (np.abs(got - exact) <= 2.0 * np.spacing(exact)).all()
+
+
+def test_chart_splitting_is_twice_the_off_diagonal():
+    # |off| ~ 1e-7 of the diagonal, where e_down - e_up kept ~9 digits, and
+    # a degeneracy threshold once zeroed delta_e at some of these points
     p = SourceParams(**{**DEFAULTS, "alpha_r": 1e-7})
-    s = chart_delta_e(p, [p.l_x * (i + 1) / 8 for i in range(7)],
-                      Grid1D(-2.0, 2.0, 41))
-    zero = int((s.delta_e == 0.0).sum())
-    assert 0 < zero < len(s.delta_e)
+    xs = [p.l_x * (i + 1) / 8 for i in range(7)]
+    grid = Grid1D(-2.0, 2.0, 41)
+    weight = np.repeat([(2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2 for x in xs],
+                       grid.n_points)
+    s = chart_delta_e(p, xs, grid)
+    assert_within_2_ulp(s.delta_e, 2.0 * np.abs(p.alpha_r * p.k * weight))
+
+
+@pytest.mark.parametrize("alpha_r", [0.2, 1e-3, 7.0])
+def test_sweep_splitting_is_twice_alpha_r_k(alpha_r):
+    # log-uniform |k| in [1e-10, 1e3], with k = 1e-8, where delta_e was 0
+    k = np.append(10.0 ** np.random.default_rng(7).uniform(-10.0, 3.0, 500), 1e-8)
+    k = np.concatenate([k, -k])
+    s = spin_split(build_hmatrix(SourceParams(**{**DEFAULTS, "alpha_r": alpha_r, "k": k})))
+    assert_within_2_ulp(s.delta_e, 2.0 * np.abs(alpha_r * k))

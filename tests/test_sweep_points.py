@@ -12,7 +12,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entangler.cli import MAX_SWEEP_STEPS, _sweep_values, main
+from entangler.cli import MAX_SWEEP_STEPS, _sweep_rows, _sweep_values, main
+from entangler.numerics import DomainError, check_finite
 
 SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
              "channel": ("omega", "coulomb_k", "g"),
@@ -39,10 +40,9 @@ VALUES = st.one_of(
 @st.composite
 def sweeps(draw, command, key):
     """--set lines of a sweep of key, with at most one other float key
-    moved, and the sweep's values as the CLI computes them."""
+    moved, its (start, stop, steps) and its format."""
     a, b = draw(VALUES), draw(VALUES)
     start, stop, steps = min(a, b), max(a, b), draw(st.integers(2, 4))
-    values = _sweep_values(start, stop, steps)
     lines = []
     others = [k for k in FLOAT_KEYS[command] if k != key]
     if others and draw(st.booleans()):
@@ -54,7 +54,7 @@ def sweeps(draw, command, key):
                   f"potential={draw(st.sampled_from(['quartic', 'harmonic']))}"]
     if command == "twoqubit":
         lines.append(f"wave_direction={draw(st.sampled_from(['along_y', 'along_x']))}")
-    return lines, (start, stop, steps), values, draw(st.sampled_from(["csv", "json"]))
+    return lines, (start, stop, steps), draw(st.sampled_from(["csv", "json"]))
 
 
 def run_sweep(command, lines, key, sweep_range, fmt, tmp):
@@ -86,12 +86,11 @@ def warning_lines(target, lines):
     return [line[len(prefix):] for line in lines if line.startswith(prefix)]
 
 
-@pytest.mark.parametrize("command, key", [(c, k) for c, keys in SWEEPABLE.items()
-                                          for k in keys])
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(data=st.data())
-def test_sweep_equals_its_one_point_sweeps(command, key, data):
-    lines, (start, stop, steps), values, fmt = data.draw(sweeps(command, key))
+def assert_sweep_is_its_points(command, lines, key, start, stop, steps, fmt):
+    """Run the sweep and its one-point sweeps up to the first that fails:
+    the sweep's rows and warnings are theirs, or it fails as that point
+    does. Returns the sweep's exit code and stderr lines."""
+    values = _sweep_values(start, stop, steps)
     with tempfile.TemporaryDirectory() as tmp:
         sweep = run_sweep(command, lines, key, f"{start!r},{stop!r},{steps}", fmt, tmp)
         singles = []
@@ -112,6 +111,52 @@ def test_sweep_equals_its_one_point_sweeps(command, key, data):
         target = err[0].split(":", 1)[0]
         assert warning_lines(target, err) == list(dict.fromkeys(
             earlier + warning_lines(target, f_err)))
+    return rc, err
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in SWEEPABLE.items()
+                                          for k in keys])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_equals_its_one_point_sweeps(command, key, data):
+    lines, (start, stop, steps), fmt = data.draw(sweeps(command, key))
+    assert_sweep_is_its_points(command, lines, key, start, stop, steps, fmt)
+
+
+# The radicand check fails for a trailing run of a lambda or coulomb_k sweep,
+# after a first point that is not finite: 1 / (4 lambda^2) or k^2 overflows,
+# or the eigenvalue h0 + hr does.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lines, key, sweep_range, column", [
+    (["coulomb_k=0.5"], "lambda", (5e-324, 2.0, 2), "h0"),
+    (["coulomb_k=0.5", "alpha_r=1e158", "k=1e150"], "lambda", (3.8e-155, 2.0, 2), "e4_re"),
+    (["k=1e200", "lambda=2"], "coulomb_k", (0.0, 0.5, 2), "h0")])
+def test_row_not_finite_fails_before_a_later_domain_error(lines, key, sweep_range,
+                                                          column, fmt):
+    rc, err = assert_sweep_is_its_points("twoqubit", lines, key, *sweep_range, fmt)
+    assert (rc, err[0]) == (1, f"twoqubit_eigen: computation failed: non-finite {column}")
+
+
+@pytest.mark.parametrize("bad, message", [(1, "non-finite x"), (4, "at 3")])
+def test_sweep_rows_fail_at_the_first_failing_point(bad, message):
+    """A point function whose first domain check fails from point 5, whose
+    second fails from point 3, and whose row `bad` is not finite: the error
+    of the first failing point is raised, whatever the order of the checks."""
+    calls = []
+
+    def point(resolved, key, values, state):
+        calls.append(len(values))
+        for i in (5, 3):
+            if len(values) > i:
+                raise DomainError("x", f"at {i}", i)
+        check_finite(("x",), ([math.inf if i == bad else 1.0 for i in values],))
+        return values
+
+    target = type("Target", (), {"point": staticmethod(point)})
+    with pytest.raises(ValueError, match=message):
+        _sweep_rows(target, {}, "x", list(range(8)), None)
+    assert calls == [8, 5, 3]
+    assert _sweep_rows(target, {}, "x", [0, 2], None) == [0, 2]
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

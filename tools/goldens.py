@@ -79,18 +79,35 @@ CONFIG_RUNS = (
 )
 # Values outside a domain whose message names a parameter field.
 DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
-               ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"))
+               ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"),
+               ("twoqubit", "coulomb_k=0.5", "lambda=2e300", "fermi_l=1e300"))
 # Runs that reach code no run above reaches: the harmonic preset, erfcx's
 # asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), a zero
-# kinetic denominator in a chart and in its one-point sweep, and a zero-point
-# term 1 / (4 m lambda^2) whose denominator underflows.
+# kinetic denominator in a chart and in its one-point sweep, a zero-point
+# term 1 / (4 m lambda^2) whose denominator underflows; sweeps whose first
+# failing point is not finite and whose later point is out of domain; a
+# Coulomb radicand 1/2 whose squares overflow; source log terms of an x / R
+# that underflows and of a 2 pi / l_x that overflows; and a Rashba splitting
+# far below the diagonal.
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170",
                "sweep_key=l_x", "sweep_range=1e-160,1e-160,1"),
-              ("twoqubit", "lambda=1e-300"))
+              ("twoqubit", "lambda=1e-300"),
+              ("twoqubit", "coulomb_k=0.5", "sweep_key=lambda", "sweep_range=5e-324,2,2"),
+              ("twoqubit", "coulomb_k=0.5", "alpha_r=1e158", "k=1e150",
+               "sweep_key=lambda", "sweep_range=3.8e-155,2,2"),
+              ("twoqubit", "k=1e200", "lambda=2", "sweep_key=coulomb_k",
+               "sweep_range=0,0.5,2"),
+              ("twoqubit", "lambda=1e300", "fermi_l=1e300", "coulomb_k=0.5"),
+              ("source", "reg_delta=5e-324", "r_coulomb=2", "sweep_key=k",
+               "sweep_range=1,1,1"),
+              ("source", "l_x=1e-322", "reg_delta=5e-324", "sweep_key=k",
+               "sweep_range=1,1,1"),
+              ("source", "sweep_key=k", "sweep_range=1e-8,1e-6,3"),
+              ("source", "sweep_key=beta", "sweep_range=1e5,1e9,5"))
 
 
 def _sets(*pairs: str) -> list[str]:
@@ -114,7 +131,7 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
                          + _sets(f"x_count={nx}", f"y_points={ny}")))
     for command, keys in SWEEPS.items():
         for key, (span, extra) in keys.items():
-            for steps in (1, 3, 11):
+            for steps in (1, 3, 11) + ((101,) if command == "twoqubit" else ()):
                 runs.append((f"{command} sweep {key} {span},{steps}",
                              [command, "--out", "out"] + _sets(
                                  *extra, f"sweep_key={key}", f"sweep_range={span},{steps}")))
