@@ -125,9 +125,12 @@ def spin_dot_operator() -> np.ndarray:
 def exchange_evolution_expm(alpha: float) -> Gate4:
     """exp(-i alpha S_s.S_c) as V diag(exp(-i alpha w)) V^dag from the eigen
     decomposition of S_s.S_c: u_swap_alpha(alpha) times e^{-i alpha/4}, found
-    without the SWAP identity behind the module's closed form."""
+    without the SWAP identity behind the module's closed form. The phase is
+    e^{-i alpha/4} e^{-i alpha (w - 1/4)}; eigh gives w - 1/4 as exactly 0
+    or -1, so both arguments are exact for every finite alpha."""
     w, v = _spin_dot_eigh()
-    phases = np.exp(-1j * float(alpha) * w)
+    a = float(alpha)
+    phases = np.exp(-0.25j * a) * np.exp(-1j * a * (w - 0.25))
     return Gate4((v * phases) @ v.conj().T)
 
 

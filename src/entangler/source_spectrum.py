@@ -29,7 +29,6 @@ energies, for the caller to check; the only error raised is a DomainError.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,10 +74,10 @@ class HMatrix2:
     """2x2 expectation matrix of the lead Hamiltonian in the spinor basis;
     entries are arrays for a sweep."""
 
-    h11: complex
+    h11: float
     h12: complex
     h21: complex
-    h22: complex
+    h22: float
 
     def to_array(self) -> np.ndarray:
         return np.array([[self.h11, self.h12], [self.h21, self.h22]], dtype=complex)
@@ -149,7 +148,7 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
     harmonic (m* w^2 / 2) <x^2>, and the regularized log-Coulomb expectation
     at the y = 0 cross-section. Off-diagonal: the Rashba coupling; the
     transverse momentum expectation vanishes for the real sin profile, so
-    h12 = h21 = alpha k.
+    the entries are real and h12 = h21 = alpha k.
 
     The log-Coulomb expectation int_delta^L (2/L) sin^2(pi x/L)
     (-beta ln(x/R)) dx is taken in closed form. With
@@ -160,9 +159,8 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
 
     Si is only needed on [0, 2 pi], where its power series converges in ~20
     terms; scipy.special.sici would load scipy in every source run.
-    Array fields give array entries, each with the bits of Python float
-    arithmetic. Squares are np.float_power, C's pow as Python's float **
-    takes it, but a square that overflows is inf instead of OverflowError.
+    Squares are np.float_power, so one that overflows is inf instead of
+    OverflowError.
     """
     with np.errstate(all="ignore"):
         l_x2 = np.float_power(p.l_x, 2)
@@ -171,56 +169,36 @@ def build_hmatrix(p: SourceParams) -> HMatrix2:
         # <x^2> over the sin^2 profile has the closed form L^2 (1/3 - 1/(2 pi^2)).
         harmonic_x = (0.5 * p.m_eff * np.float_power(p.omega, 2) * l_x2
                       * (1.0 / 3.0 - 0.5 / math.pi ** 2))
-        diag = np.asarray(kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p),
-                          dtype=complex)[()]
-        rashba = np.asarray(p.alpha_r * p.k, dtype=complex)[()]
-    return HMatrix2(h11=diag, h12=rashba, h21=rashba.conjugate(), h22=diag)
+        diag = kinetic_x + kinetic_y + harmonic_x + _log_coulomb(p)
+        rashba = p.alpha_r * p.k
+    return HMatrix2(h11=diag, h12=rashba, h21=rashba, h22=diag)
 
 
 def spin_split(h: HMatrix2) -> SpinSplitResult:
-    """Closed-form eigenvalue pair of the 2x2 matrix and their splitting, the
-    root of the discriminant (h11-h22)^2 + 4 h12 h21 (not e_down - e_up,
-    which cancels against the diagonal).
-
-    Entries may be arrays, one matrix per point. The arithmetic runs on the
-    entries times 2^-e, 2^e <= max(1, |h_ij|) < 2^(e+1), and the energies
-    are scaled back at the end, as LAPACK's dlaev2 scales by its largest
-    term (Blue, ACM TOMS 4 (1978) 15), so an energy is inf only where it
-    overflows itself. Real entries stay real unless the discriminant is
-    negative. Power-of-two scaling is exact: Hermitian entries get the bits
-    of Python's complex arithmetic on the unscaled matrix (other entries
-    below 2^-1022 of the largest are rounded as subnormals).
+    """Eigenvalue pair of the Hermitian 2x2 matrix (real h11, h22 and
+    h21 = conj(h12), which is not read) and its splitting, in closed form:
+    m -+ r with m the diagonal mean and r = hypot((h11 - h22)/2, |h12|),
+    so delta_e = 2 r never cancels against the diagonal and no entry is
+    squared. Entries may be arrays, one matrix per point.
     """
     with np.errstate(all="ignore"):
-        # max(1, |h_ij|) as Python's max takes it: a NaN entry is passed over
-        top = functools.reduce(np.fmax, map(np.abs, (h.h11, h.h22, h.h12, h.h21)), 1.0)
-        e = np.frexp(top)[1] - 1
-        down = np.ldexp(1.0, -e)
-        h11, h12, h21, h22 = (np.asarray(v) * down for v in (h.h11, h.h12, h.h21, h.h22))
-        disc = (h11 - h22) ** 2 + 4.0 * h12 * h21
-        root = np.emath.sqrt(disc)
-        root = np.where((root.real < 0) | ((root.real == 0) & (root.imag < 0)),
-                        -root, root)
-        total = h11 + h22
-        return SpinSplitResult(e_up=np.ldexp((0.5 * (total - root)).real, e)[()],
-                               e_down=np.ldexp((0.5 * (total + root)).real, e)[()],
-                               delta_e=np.ldexp(root.real, e)[()])
+        half_gap = 0.5 * h.h11 - 0.5 * h.h22
+        mean = h.h11 - half_gap  # h11 itself where h11 == h22
+        r = np.hypot(half_gap, np.abs(h.h12))
+        return SpinSplitResult(e_up=(mean - r)[()], e_down=(mean + r)[()],
+                               delta_e=(2.0 * r)[()])
 
 
 def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
     """Local splitting map over the lead: spin_split's arrays over the grid
     points, row-major over x then y.
 
-    Uses symmetrized energy densities at each point: the common diagonal
-    density carries the kinetic constants plus (m* w^2 / 2)(x^2 + y^2) and
-    the regularized log term, all weighted by |phi(x)|^2; the off-diagonal
-    density is alpha k |phi(x)|^2.
-
-    The energies are spin_split of the local HMatrix2 arrays, one matrix
-    per grid point; squares are np.float_power, as in build_hmatrix. The
-    log term is taken per point with math.log, because np.log differs from
-    it by 1 ulp on some arguments. A chart holding a value that is not
-    finite raises ValueError naming its column (x, y or an energy).
+    The common diagonal density is the kinetic constants plus
+    (m* w^2 / 2)(x^2 + y^2) and the regularized log term, the off-diagonal
+    density alpha k, both weighted by |phi(x)|^2. The log term is taken per
+    point with math.log, which np.log differs from by 1 ulp on some
+    arguments. A value that is not finite raises ValueError naming its
+    column (x, y or an energy).
     """
     x_values = [float(x) for x in x_values]
     for x in x_values:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, EigenSystem, check_domain, eigen_small, first_failure
+from .numerics import (DomainError, EigenSystem, check_domain, check_finite, eigen_small,
+                       first_failure)
 
 __all__ = [
     "ALONG_X",
@@ -139,8 +140,7 @@ def expectations(p: TwoQubitParams) -> tuple[float, complex]:
 
 
 def build_matrix(h0: float, hr: complex) -> TwoQubitMatrix:
-    if not (math.isfinite(h0) and cmath.isfinite(hr)):  # check_finite's wording
-        raise ValueError(f"non-finite {'hr' if math.isfinite(h0) else 'h0'}")
+    check_finite(("h0", "hr"), (h0, hr))
     return TwoQubitMatrix(h0=float(h0), hr=complex(hr))
 
 

@@ -698,10 +698,14 @@ def test_sweep_range_with_finite_endpoints_runs_to_its_stop(argv, code, last, fm
             assert json.loads(text)["rows"][-1][0] == float(last)
 
 
+def assert_within_2_ulp(got, exact):
+    assert (np.abs(got - exact) <= 2.0 * np.spacing(exact)).all()
+
+
 def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
     """At m_eff = 1e-200 the diagonal is near 1e200: its square overflows,
-    the energies do not, and both runs give delta_e = 0, since (alpha_r k)^2
-    scaled by the diagonal's 2^-e underflows in the one spin_split.
+    the energies do not, and delta_e is still 2 |alpha_r k| (times
+    |phi(x)|^2 in the chart), 1e-200 of the diagonal.
     Where the kinetic denominator 2 m l_x^2 underflows to zero, or pi x
     overflows at the largest l_x, both fail naming the same column."""
     failed = (1, "source_delta_e: computation failed: non-finite e_up\n")
@@ -720,7 +724,12 @@ def test_chart_and_its_one_point_sweep_agree_where_squares_overflow(tmp_path):
                      "sweep_range=1e-200,1e-200,1", "--out", str(sweep)]) == (0, "")
     for out in (chart, sweep):
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert rows and all(r[-1] == "0" and 1e199 < float(r[-3]) < 1e201 for r in rows)
+        assert rows and all(1e199 < float(r[-3]) < 1e201 for r in rows)
+        # defaults alpha_r = 0.2, k = 1, l_x = pi; the sweep's |phi|^2 is 1
+        weight = [(2.0 / math.pi) * math.sin(math.pi * float(r[0]) / math.pi) ** 2
+                  if out is chart else 1.0 for r in rows]
+        assert_within_2_ulp(np.array([float(r[-1]) for r in rows]),
+                            2.0 * np.abs(0.2 * 1.0 * np.array(weight)))
         sidecar = json.loads(Path(f"{out}.manifest.json").read_text())
         assert "diagnostics" not in sidecar
 
@@ -1217,13 +1226,17 @@ def source_sweeps(draw):
 @given(source_sweeps())
 def test_property_source_in_domain_succeeds(case):
     """A source sweep either fails a domain check (exit 2) or succeeds;
-    it exits 1 only where an entry of a point's matrix is not finite."""
+    it exits 1 only where an entry of a point's matrix is not finite, and
+    where it succeeds every delta_e is 2 |alpha_r k|."""
     params, (start, stop) = case
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
         sets = [a for k, v in params.items() for a in ("--set", f"{k}={v!r}")]
-        rc, err = run_main(["source", "--out", os.path.join(tmp, "out.csv"), *sets,
-                            "--set", "sweep_key=k",
+        rc, err = run_main(["source", "--out", out, *sets, "--set", "sweep_key=k",
                             "--set", f"sweep_range={start!r},{stop!r},2"])
+        if rc == 0:
+            rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert_within_2_ulp(rows[:, -1], 2.0 * np.abs(params["alpha_r"] * rows[:, 0]))
     if rc == 1:
         ks = np.array([start, start + (stop - start)])  # the values the CLI sweeps
         h = build_hmatrix(SourceParams(**params, k=ks))

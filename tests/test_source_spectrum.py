@@ -193,13 +193,12 @@ def per_point_chart(p, x_values, grid):
     rows = []
     for x in x_values:
         weight = (2.0 / p.l_x) * math.sin(math.pi * x / p.l_x) ** 2
-        off = complex(p.alpha_r * p.k * weight)
+        off = p.alpha_r * p.k * weight
         for y in grid.points():
             log_term = -p.beta * math.log(max(abs(x - y), p.reg_delta) / p.r_coulomb)
             dens = (kinetic + 0.5 * p.m_eff * p.omega ** 2 * (x * x + y * y)
                     + log_term) * weight
-            s = spin_split(HMatrix2(h11=complex(dens), h12=off,
-                                    h21=off.conjugate(), h22=complex(dens)))
+            s = spin_split(HMatrix2(h11=dens, h12=off, h21=off, h22=dens))
             rows.append((s.e_up, s.e_down, s.delta_e))
     return rows
 
@@ -214,7 +213,7 @@ def chart_cases():
               for a in (0.0, 1e-12, 3e-9, 1e-7)]
     cases += [SourceParams(**{**DEFAULTS, "k": -1.3}),
               SourceParams(**{**DEFAULTS, "beta": 0.0})]
-    # densities near 1e200, whose squares overflow: spin_split scales first
+    # densities near 1e200, whose squares overflow; spin_split squares no entry
     cases += [SourceParams(**{**DEFAULTS, "m_eff": 1e-200})]
     return cases
 

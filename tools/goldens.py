@@ -87,8 +87,9 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
 # term 1 / (4 m lambda^2) whose denominator underflows; sweeps whose first
 # failing point is not finite and whose later point is out of domain; a
 # Coulomb radicand 1/2 whose squares overflow; source log terms of an x / R
-# that underflows and of a 2 pi / l_x that overflows; and a Rashba splitting
-# far below the diagonal.
+# that underflows and of a 2 pi / l_x that overflows; a Rashba splitting far
+# below the diagonal, also in a chart whose diagonal squares overflow; and
+# gate alphas past ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
@@ -107,7 +108,10 @@ REACH_RUNS = (("channel", "potential=harmonic"),
               ("source", "l_x=1e-322", "reg_delta=5e-324", "sweep_key=k",
                "sweep_range=1,1,1"),
               ("source", "sweep_key=k", "sweep_range=1e-8,1e-6,3"),
-              ("source", "sweep_key=beta", "sweep_range=1e5,1e9,5"))
+              ("source", "sweep_key=beta", "sweep_range=1e5,1e9,5"),
+              ("source", "m_eff=1e-200"),
+              ("gates", "alpha=1e23"),
+              ("gates", "alpha=3e23"))
 
 
 def _sets(*pairs: str) -> list[str]:
