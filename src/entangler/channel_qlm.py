@@ -148,6 +148,16 @@ def _cumulative(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _total(f: np.ndarray, h: float) -> float:
+    """_cumulative(f, h)[-1] alone: the chain that ends at the last sample,
+    the even one for an odd count, else the trapezoid seed plus the odd one,
+    in the same panels and summation order."""
+    odd = f.shape[0] % 2 == 0  # the last sample is on the odd chain
+    g = f[1:] if odd else f
+    total = np.cumsum((h / 3.0) * (g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2]))[-1]
+    return 0.5 * h * (f[0] + f[1]) + total if odd else total
+
+
 def qlm_weight(prev_l: np.ndarray, cfg: QlmConfig) -> np.ndarray:
     """w = exp(2 int_0^y prev_l) on cfg.grid: the integrating factor of the
     step and the weight of the energy integral.
@@ -186,8 +196,8 @@ def qlm_energy(prev_l: np.ndarray, w: np.ndarray, v: np.ndarray,
     the Gaussian-weighted first iterate energy.
     """
     h = cfg.grid.spacing
-    num = _cumulative(w * (prev_l ** 2 + 2.0 * p.m_eff * v), h)[-1]
-    den = _cumulative(w, h)[-1]
+    num = _total(w * (prev_l ** 2 + 2.0 * p.m_eff * v), h)
+    den = _total(w, h)
     return num / (2.0 * p.m_eff * den)
 
 

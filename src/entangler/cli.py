@@ -24,6 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -285,9 +286,11 @@ def _fmt(v) -> str:
     return _field(v) % v
 
 
-def _format_rows(rows, as_json: bool = False) -> list[str]:
-    """Each row (a tuple) through one %-template, built once from the kinds
-    of the first row's values: a CSV line, or a JSON array."""
+def _format_rows(rows, sep: str, as_json: bool = False) -> list[str]:
+    """The rows (tuples) as text in pieces of at most _PIECE_ROWS rows, each
+    piece led by sep as an item of its own. A piece is one % on copies of
+    the row template joined by sep; the row template, a CSV line or a JSON
+    array, is built once from the kinds of the first row's values."""
     if not rows:
         return []
     bools = [i for i, v in enumerate(rows[0]) if as_json and isinstance(v, bool)]
@@ -296,7 +299,12 @@ def _format_rows(rows, as_json: bool = False) -> list[str]:
     if bools:
         rows = [tuple(_JSON_BOOL[v] if i in bools else v for i, v in enumerate(row))
                 for row in rows]
-    return [template % row for row in rows]
+    pieces = []
+    for i in range(0, len(rows), _PIECE_ROWS):
+        piece = rows[i:i + _PIECE_ROWS]
+        values = tuple(chain.from_iterable(piece))
+        pieces += [sep, sep.join([template] * len(piece)) % values]
+    return pieces
 
 
 def _rows(columns, *arrays) -> list[tuple]:
@@ -343,8 +351,10 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     s = chart_delta_e(p, x_values, grid)
     ys = [_fmt(y) for y in grid.points().tolist()]
     xs = [x for x in map(_fmt, x_values) for _ in ys]
-    return list(zip(xs, ys * n, s.e_up.tolist(), s.e_down.tolist(),
-                    s.delta_e.tolist())), None
+    # delta_e = 2 |alpha_r k| |phi(x)|^2, spin_split's closed form where
+    # h11 == h22, is one value per x block
+    ds = [d for d in map(_fmt, s.delta_e[::len(ys)].tolist()) for _ in ys]
+    return list(zip(xs, ys * n, s.e_up.tolist(), s.e_down.tolist(), ds)), None
 
 
 def _channel_point(resolved: dict, key: str | None, values: list,
@@ -565,14 +575,8 @@ def _emit_json_value(v) -> str:
     raise TypeError(f"cannot emit {type(v)}")
 
 
-def _pieces(lines: list[str], sep: str) -> list[str]:
-    """sep.join(lines) cut into pieces of at most _PIECE_ROWS lines."""
-    return [("" if i == 0 else sep) + sep.join(lines[i:i + _PIECE_ROWS])
-            for i in range(0, len(lines), _PIECE_ROWS)]
-
-
 def _render_csv(columns, rows) -> list[str]:
-    return _pieces([",".join(columns)] + _format_rows(rows), "\n") + ["\n"]
+    return [",".join(columns)] + _format_rows(rows, "\n") + ["\n"]
 
 
 def _render_json(manifest: dict, columns, rows, report=None) -> list[str]:
@@ -582,7 +586,7 @@ def _render_json(manifest: dict, columns, rows, report=None) -> list[str]:
         return [_emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"]
     head = (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
             f'"columns": {_emit_json_value(list(columns))}, "rows": [')
-    return [head] + _pieces(_format_rows(rows, as_json=True), ", ") + ["]}\n"]
+    return [head] + _format_rows(rows, ", ", as_json=True)[1:] + ["]}\n"]
 
 
 def _write_files(files: dict) -> None:

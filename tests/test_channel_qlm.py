@@ -123,6 +123,16 @@ class TestQlmEnergy:
         e1 = energy(-y, channel_potential(QUARTIC, y), QUARTIC, cfg)
         assert e1 == pytest.approx(11.0 / 32.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 401, 4000, 4001])
+    def test_total_is_the_last_cumulative_sample_bit_for_bit(self, n):
+        # odd n ends on the even Simpson chain, even n on the trapezoid-seeded one
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            f = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+            h = rng.uniform(1e-3, 1.0)
+            total = channel_qlm._total(f, h)
+            assert total.hex() == channel_qlm._cumulative(f, h)[-1].hex()
+
     def test_non_decaying_weight_raises(self):
         cfg = QlmConfig(g=1.0, n_points=501, iterations=1)
         with pytest.raises(QlmError, match="decay"):

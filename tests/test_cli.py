@@ -20,7 +20,8 @@ from entangler.cli import (MAX_CHART_POINTS, MAX_SWEEP_STEPS, ConfigError,
                            SweepSpec, main, parse_config, run)
 from entangler.channel_qlm import ChannelPotentialParams
 from entangler.gates import u_swap_alpha
-from entangler.source_spectrum import SourceParams, build_hmatrix
+from entangler.numerics import Grid1D
+from entangler.source_spectrum import SourceParams, build_hmatrix, chart_delta_e
 from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
                                         claimed_vs_numeric, expectations)
 
@@ -807,14 +808,17 @@ def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt)
     spec = parse_config(config)
     resolved = cli._resolve(spec)
     rows, _ = cli._source_chart(resolved, None)
+    # text cells (x, y, delta_e) as they are, floats per value
+    cells = [[v if isinstance(v, str) else format(v, ".17g") for v in r] for r in rows]
     if fmt == "csv":
-        expected = "\n".join(["x,y,e_up,e_down,delta_e"] + cli._format_rows(rows)) + "\n"
+        expected = "".join(",".join(r) + "\n" for r in [list(cli._CHART_COLUMNS)] + cells)
     else:
         manifest = {k: v for k, v in cli._manifest(spec, resolved).items()
                     if k != "timestamp"}
+        lines = ", ".join("[" + ", ".join(r) + "]" for r in cells)
         expected = (f'{{"manifest": {cli._emit_json_value(manifest)}, '
                     f'"columns": {cli._emit_json_value(list(cli._CHART_COLUMNS))}, '
-                    f'"rows": [{", ".join(cli._format_rows(rows, as_json=True))}]}}\n')
+                    f'"rows": [{lines}]}}\n')
         assert len(json.loads(text)["rows"]) == 3 * 401
     assert text == expected
 
@@ -899,23 +903,28 @@ RENDER_CASES = [
 
 
 def chart_points(args):
-    """The (x, y) floats of a chart's rows, row-major, from its --set pairs:
-    x_count interior cross-sections l_x (i + 1) / (x_count + 1), y on the
-    uniform grid."""
-    r = {"l_x": math.pi, "x_count": 5, "y_min": -2.0, "y_max": 2.0, "y_points": 21}
+    """The (x, y) floats of a chart's rows, row-major, from its --set pairs
+    (x_count interior cross-sections l_x (i + 1) / (x_count + 1), y on the
+    uniform grid), and the delta_e floats that chart_delta_e gives them."""
+    r = {"x_count": 5, "y_min": -2.0, "y_max": 2.0, "y_points": 21,
+         **dataclasses.asdict(SourceParams())}
     for pair in (args[i + 1] for i, a in enumerate(args) if a == "--set"):
         key, value = pair.split("=")
         r[key] = type(r[key])(value)
     n = r["x_count"]
-    return [(r["l_x"] * (i + 1) / (n + 1), y) for i in range(n)
-            for y in np.linspace(r["y_min"], r["y_max"], r["y_points"]).tolist()]
+    xs = [r["l_x"] * (i + 1) / (n + 1) for i in range(n)]
+    ys = np.linspace(r["y_min"], r["y_max"], r["y_points"]).tolist()
+    p = SourceParams(**{f.name: r[f.name] for f in dataclasses.fields(SourceParams)})
+    delta_e = chart_delta_e(p, xs, Grid1D(r["y_min"], r["y_max"], r["y_points"])).delta_e
+    return [(x, y) for x in xs for y in ys], delta_e.tolist()
 
 
 def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
     """Every target, defaults and one sweep, CSV and JSON: the rendered text
     equals a per-value format(v, ".17g") rendering of the same table. A
-    chart's x and y cells come as text: each must be format(v, ".17g") of
-    the grid value it stands for, which the reference then renders."""
+    chart's x, y and delta_e cells come as text: each must be
+    format(v, ".17g") of the grid value, or of the float delta_e of its
+    row, that it stands for, which the reference then renders."""
     tables = []
     for name in ("_render_csv", "_render_json"):
         original = getattr(cli, name)
@@ -933,10 +942,11 @@ def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
             (table_args, kwargs), = tables
             rows = table_args[-1]
             if rows and isinstance(rows[0][0], str):
-                points = chart_points(args)
+                points, delta_e = chart_points(args)
                 assert [r[:2] for r in rows] == [
                     (format(x, ".17g"), format(y, ".17g")) for x, y in points]
-                rows = [xy + tuple(r[2:]) for xy, r in zip(points, rows)]
+                assert [r[4] for r in rows] == [format(d, ".17g") for d in delta_e]
+                rows = [xy + r[2:4] + (d,) for xy, r, d in zip(points, rows, delta_e)]
             if fmt == "csv":
                 columns = table_args[0]
                 expected = "".join(

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from entangler.numerics import Grid1D, eigen_small, is_hermitian
+from entangler.numerics import DomainError, Grid1D, eigen_small, is_hermitian
 from entangler.source_spectrum import (HMatrix2, SourceParams, _log_coulomb,
                                        _si, build_hmatrix, chart_delta_e,
                                        spin_split)
@@ -254,3 +255,42 @@ def test_sweep_splitting_is_twice_alpha_r_k(alpha_r):
     k = np.concatenate([k, -k])
     s = spin_split(build_hmatrix(SourceParams(**{**DEFAULTS, "alpha_r": alpha_r, "k": k})))
     assert_within_2_ulp(s.delta_e, 2.0 * np.abs(alpha_r * k))
+
+
+@st.composite
+def charts(draw):
+    """(params, x_count, grid) of a chart: every float key log-uniform, of
+    magnitude in [1e-6, 1e6] or over the whole float range, or at either
+    end of it (beta, alpha_r and k may be 0, k of either sign), and
+    reg_delta below l_x / 10."""
+    magnitude = st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                          st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e),
+                          st.sampled_from([5e-324, 1.7976931348623157e308]))
+    params = {key: draw(magnitude) for key in ("m_eff", "omega", "r_coulomb", "l_x")}
+    for key in ("beta", "alpha_r"):
+        params[key] = draw(st.one_of(st.just(0.0), magnitude))
+    params["k"] = draw(st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v)))
+    params["reg_delta"] = params["l_x"] * draw(st.floats(1e-12, 0.099))
+    y_min, y_max = sorted([draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))])
+    return params, draw(st.integers(1, 5)), (y_min, y_max, draw(st.integers(3, 9)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(charts())
+@example((DEFAULTS, 5, (-2.0, 2.0, 21)))
+@example(({**DEFAULTS, "m_eff": 1e-200}, 5, (-2.0, 2.0, 21)))
+@example(({**DEFAULTS, "alpha_r": 5e-324}, 5, (-2.0, 2.0, 21)))
+@example(({**DEFAULTS, "k": -1.3}, 3, (-2.0, 2.0, 7)))
+def test_property_chart_splitting_is_one_value_per_x_block(case):
+    """Wherever a chart computes, h11 == h22 at each point, so delta_e is
+    2 |alpha_r k| |phi(x)|^2 with the bits of its x alone: each x block
+    holds one value, bit for bit."""
+    params, n, (y_min, y_max, y_points) = case
+    try:
+        p = SourceParams(**params)
+        grid = Grid1D(y_min, y_max, y_points)
+        s = chart_delta_e(p, [p.l_x * (i + 1) / (n + 1) for i in range(n)], grid)
+    except (DomainError, ValueError):  # out of domain, or not finite
+        return
+    bits = s.delta_e.view(np.int64).reshape(n, y_points)
+    assert (bits == bits[:, :1]).all()

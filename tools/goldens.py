@@ -77,6 +77,8 @@ CONFIG_RUNS = (
     ("gates config target=channel_qlm alpha=1", ["gates"],
      "target=channel_qlm\nalpha=1\n"),
 )
+# Source parameters off the defaults, within the benchmark's chart ranges.
+BENCH_CHART = ("m_eff=1.13", "omega=0.87", "alpha_r=0.31", "l_x=3.07", "k=1.29")
 # Values outside a domain whose message names a parameter field.
 DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
                ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"),
@@ -133,6 +135,15 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
             runs.append((f"source chart {nx}x{ny} {fmt}",
                          ["source", "--format", fmt, "--out", "out"]
                          + _sets(f"x_count={nx}", f"y_points={ny}")))
+    # Tables of many output pieces: a 50x401 chart off the defaults, as the
+    # benchmark draws them, and a gates sweep whose booleans span 3 pieces.
+    for fmt in ("csv", "json"):
+        runs.append((f"source chart 50x401 {' '.join(BENCH_CHART)} {fmt}",
+                     ["source", "--format", fmt, "--out", "out"]
+                     + _sets("x_count=50", "y_points=401", *BENCH_CHART)))
+    runs.append(("gates sweep alpha 0,6.283185307179586,1201 json",
+                 ["gates", "--format", "json", "--out", "out"]
+                 + _sets("sweep_key=alpha", "sweep_range=0,6.283185307179586,1201")))
     for command, keys in SWEEPS.items():
         for key, (span, extra) in keys.items():
             for steps in (1, 3, 11) + ((101,) if command == "twoqubit" else ()):
