@@ -24,7 +24,6 @@ import sys
 import warnings
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -101,24 +100,24 @@ class SweepSpec:
 class _RunState:
     """What the points of one run share."""
 
-    output_format: str
+    as_json: bool
     files: dict = field(default_factory=dict)  # path -> pieces; dumps first
 
 
 @dataclass(frozen=True)
 class _Target:
     """Everything the CLI knows about one target. A point function maps the
-    resolved dict, the swept key and the list of its values to the rows of
-    all of them; a run without a sweep is a sweep of one, with key None. A
-    single run that is not one point returns (rows, report), and a report
-    is the JSON output in place of the table."""
+    resolved dict, the swept key and the list of its values to the columns
+    of all their rows; a run without a sweep is a sweep of one, with key
+    None. A single run that is not one point returns (rendered rows, report),
+    and a report is the JSON output in place of the table."""
 
     command: str
     schema: dict[str, tuple]  # key -> (parser, default, help)
     sweepable: tuple[str, ...]
     aliases: dict[str, str]  # params field -> config key, where they differ
     columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
-    point: Callable[[dict, str | None, list, _RunState], list[tuple]]
+    point: Callable[[dict, str | None, list, _RunState], list]
     single: Callable[[dict, _RunState], tuple] | None = None
     single_columns: tuple[str, ...] | None = None  # of single's rows
 
@@ -274,6 +273,7 @@ def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
 # Output text of each value kind: ints (and bools, in CSV) as %d, floats at
 # 17 significant digits, text as is; JSON spells bools true/false.
 _JSON_BOOL = ("false", "true")
+_LAYOUT = (("\n", ",", "", ""), (", ", ", ", "[", "]"))  # CSV, JSON: separators, row ends
 
 
 def _field(v) -> str:
@@ -286,32 +286,22 @@ def _fmt(v) -> str:
     return _field(v) % v
 
 
-def _format_rows(rows, sep: str, as_json: bool = False) -> list[str]:
-    """The rows (tuples) as text in pieces of at most _PIECE_ROWS rows, each
-    piece led by sep as an item of its own. A piece is one % on copies of
-    the row template joined by sep; the row template, a CSV line or a JSON
-    array, is built once from the kinds of the first row's values."""
-    if not rows:
-        return []
-    bools = [i for i, v in enumerate(rows[0]) if as_json and isinstance(v, bool)]
-    fields = ["%s" if i in bools else _field(v) for i, v in enumerate(rows[0])]
-    template = "[" + ", ".join(fields) + "]" if as_json else ",".join(fields)
-    if bools:
-        rows = [tuple(_JSON_BOOL[v] if i in bools else v for i, v in enumerate(row))
-                for row in rows]
-    pieces = []
-    for i in range(0, len(rows), _PIECE_ROWS):
-        piece = rows[i:i + _PIECE_ROWS]
-        values = tuple(chain.from_iterable(piece))
-        pieces += [sep, sep.join([template] * len(piece)) % values]
+def _format_rows(columns, as_json: bool = False) -> list[str]:
+    """The columns (arrays or lists of one length) as CSV lines or JSON arrays in
+    pieces of at most _PIECE_ROWS rows, each led by the row separator as an item
+    of its own. A piece is one % on copies of the row template, a field per
+    column of its first value's kind, on values interleaved by slice assignment."""
+    columns = [(np.take(_JSON_BOOL, c) if as_json and c.dtype == bool else c).tolist()
+               for c in map(np.asarray, columns)]
+    sep, comma, start, end = _LAYOUT[as_json]
+    template = start + comma.join(_field(c[0]) for c in columns) + end
+    pieces, n, width = [], len(columns[0]), len(columns)
+    for i in range(0, n, _PIECE_ROWS):
+        flat = [None] * width * min(_PIECE_ROWS, n - i)
+        for j, column in enumerate(columns):
+            flat[j::width] = column[i:i + _PIECE_ROWS]
+        pieces += [sep, sep.join([template] * (len(flat) // width)) % tuple(flat)]
     return pieces
-
-
-def _rows(columns, *arrays) -> list[tuple]:
-    """The rows of one array per column. A column holding a value that is
-    not finite fails the run instead, checked on the arrays."""
-    check_finite(columns, arrays)
-    return list(zip(*(a.tolist() for a in arrays)))
 
 
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
@@ -336,32 +326,39 @@ def _params(cls, resolved: dict, aliases: dict):
     return cls(**{f: resolved[aliases.get(f, f)] for f in _field_names(cls)})
 
 
-def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list[tuple]:
+def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list:
     swept = np.array(values)
     p = _params(SourceParams, {**resolved, key: swept}, _TARGETS[TARGET_SOURCE].aliases)
     s = spin_split(build_hmatrix(p))
-    return _rows((key,) + _SOURCE_COLUMNS, swept, s.e_up, s.e_down, s.delta_e)
+    columns = [swept, s.e_up, s.e_down, s.delta_e]
+    check_finite((key,) + _SOURCE_COLUMNS, columns)
+    return columns
 
 
 def _source_chart(resolved: dict, state: _RunState) -> tuple:
+    """The rows as _format_rows renders them; only e_up and e_down go through %, and
+    y, x and delta_e (2 |alpha_r k| |phi(x)|^2, one per x block) are formatted once."""
     p = _params(SourceParams, resolved, _TARGETS[TARGET_SOURCE].aliases)
-    n = resolved["x_count"]
-    x_values = _sweep_values(0.0, p.l_x, n + 2)[1:-1]  # finite for a finite l_x
+    x_values = _sweep_values(0.0, p.l_x, resolved["x_count"] + 2)[1:-1]  # finite as l_x is
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
     s = chart_delta_e(p, x_values, grid)
-    ys = [_fmt(y) for y in grid.points().tolist()]
-    xs = [x for x in map(_fmt, x_values) for _ in ys]
-    # delta_e = 2 |alpha_r k| |phi(x)|^2, spin_split's closed form where
-    # h11 == h22, is one value per x block
-    ds = [d for d in map(_fmt, s.delta_e[::len(ys)].tolist()) for _ in ys]
-    return list(zip(xs, ys * n, s.e_up.tolist(), s.e_down.tolist(), ds)), None
+    sep, comma, start, end = _LAYOUT[state.as_json]
+    ys = [_fmt(y) + comma + "%.17g" + comma + "%.17g" for y in grid.points().tolist()]
+    blocks = np.column_stack((s.e_up, s.e_down)).reshape(len(x_values), -1).tolist()
+    pieces = []
+    for x, d, block in zip(x_values, s.delta_e[::len(ys)].tolist(), blocks):
+        lead, tail = start + _fmt(x) + comma, comma + _fmt(d) + end
+        for j in range(0, len(ys), _PIECE_ROWS):
+            template = lead + (tail + sep + lead).join(ys[j:j + _PIECE_ROWS]) + tail
+            pieces += [sep, template % tuple(block[2 * j:2 * (j + _PIECE_ROWS)])]
+    return pieces, None
 
 
 def _channel_point(resolved: dict, key: str | None, values: list,
-                   state: _RunState) -> list[tuple]:
+                   state: _RunState) -> list:
     """One QLM run per point, in sweep order, so the first failing point
     raises. qlm_spectrum checks that every e_n is finite."""
-    rows = []
+    swept, ns, es = [], [], []
     profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
     for value in values:
         r = resolved if key is None else {**resolved, key: value}
@@ -378,15 +375,14 @@ def _channel_point(resolved: dict, key: str | None, values: list,
         energies, l_last = qlm_spectrum(p, cfg, v)
         dump = r["dump_l"]
         if dump and dump not in state.files:
-            samples = zip(y.tolist(), l_last.tolist())
-            state.files[dump] = _render_csv(("y", "l"), list(samples))
-        lead = () if key is None else (value,)
-        rows += [lead + (n, e_n) for n, e_n in enumerate(energies, 1)]
-    return rows
+            state.files[dump] = _render_csv(("y", "l"), _format_rows([y, l_last]))
+        swept += [value] * len(energies)
+        ns += range(1, len(energies) + 1)
+        es += energies
+    return ([] if key is None else [swept]) + [ns, es]
 
 
-def _twoqubit_point(resolved: dict, key: str, values: list,
-                    state: _RunState) -> list[tuple]:
+def _twoqubit_point(resolved: dict, key: str, values: list, state: _RunState) -> list:
     """Every point in one array pass: the finite matrices go through one
     stacked solve and the others get NaN eigenvalues, so the first row that
     is not finite fails, at h0 or hr as build_matrix names them."""
@@ -396,19 +392,20 @@ def _twoqubit_point(resolved: dict, key: str, values: list,
     finite = np.isfinite(h0) & np.isfinite(hr)
     ev = np.full((len(values), 4), np.nan, dtype=complex)
     ev[finite] = eigen_small(TwoQubitMatrix(h0[finite], hr[finite]).matrix).eigenvalues
-    return _rows((key, "h0", "hr", "hr") + _TWOQUBIT_COLUMNS[3:], swept, h0, hr.real,
-                 hr.imag, *ev.view(float).T)  # e1_re, e1_im .. e4_im
+    columns = [swept, h0, hr.real, hr.imag, *ev.view(float).T]  # e1_re, e1_im .. e4_im
+    check_finite((key, "h0", "hr", "hr") + _TWOQUBIT_COLUMNS[3:], columns)
+    return columns
 
 
 def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
     p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
     report = claimed_vs_numeric(build_matrix(*expectations(p)))
     # np.max, not max: Python's max passes over a NaN residual
-    row = (report.h0, report.hr.real, report.hr.imag,
-           np.max(report.claimed_residuals), report.eigenvalue_set_distance,
-           report.hermitian, report.degenerate)
-    rows = _rows(_REPORT_COLUMNS, *(np.array([v]) for v in row))
-    return rows, report.to_json_dict()
+    columns = [np.array([v]) for v in (
+        report.h0, report.hr.real, report.hr.imag, np.max(report.claimed_residuals),
+        report.eigenvalue_set_distance, report.hermitian, report.degenerate)]
+    check_finite(_REPORT_COLUMNS, columns)
+    return _format_rows(columns, state.as_json), report.to_json_dict()
 
 
 @functools.cache
@@ -424,36 +421,34 @@ def _gate_constants() -> tuple:
                    min(concurrence(b) for b in bells))
 
 
-def _gate_point(resolved: dict, key: str | None, values: list,
-                state: _RunState) -> list[tuple]:
+def _gate_point(resolved: dict, key: str | None, values: list, state: _RunState) -> list:
     """One row per alpha, alpha by alpha. The gates are unitary and their
     phases have unit modulus, so a row is finite where its alpha is."""
     bells, alpha_independent = _gate_constants()
-    rows = []
-    for value in values:
-        alpha = resolved["alpha"] if key is None else value
+    alphas = [resolved["alpha"]] if key is None else values
+    swap, sqrt_swap, deviation, fidelity = [], [], [], []
+    for alpha in alphas:
         u = u_swap_alpha(alpha)
         dump = resolved["dump_matrix"]
         if dump and dump not in state.files:
-            state.files[dump] = _render_gate_matrix(u, state.output_format)
+            state.files[dump] = _render_gate_matrix(u, state.as_json)
         projector = sum(
             phase * np.outer(b.amplitudes, b.amplitudes.conj())
             for b, phase in zip(bells, [1.0, 1.0, 1.0, np.exp(1j * alpha)]))
-        rows.append((alpha,
-                     bool(np.abs(u.matrix - SWAP).max() <= 1e-13),
-                     bool(np.abs(u.matrix - SQRT_SWAP).max() <= 1e-13),
-                     float(np.abs(u.matrix - projector).max()),
-                     gate_fidelity(u, exchange_evolution_expm(alpha)))
-                    + alpha_independent)
-    return rows
+        swap.append(bool(np.abs(u.matrix - SWAP).max() <= 1e-13))
+        sqrt_swap.append(bool(np.abs(u.matrix - SQRT_SWAP).max() <= 1e-13))
+        deviation.append(float(np.abs(u.matrix - projector).max()))
+        fidelity.append(gate_fidelity(u, exchange_evolution_expm(alpha)))
+    return ([alphas, swap, sqrt_swap, deviation, fidelity]
+            + [[v] * len(alphas) for v in alpha_independent])
 
 
-def _render_gate_matrix(gate, output_format: str) -> list[str]:
+def _render_gate_matrix(gate, as_json: bool) -> list[str]:
     pairs = np.stack([gate.matrix.real, gate.matrix.imag], axis=-1)  # 4x4x(re, im)
-    if output_format == "json":
+    if as_json:
         return [_emit_json_value({"matrix": pairs.tolist()}) + "\n"]
     return _render_csv([f"{part}{j + 1}" for j in range(4) for part in ("re", "im")],
-                       [tuple(row) for row in pairs.reshape(4, 8).tolist()])
+                       _format_rows(pairs.reshape(4, 8).T))
 
 
 # The records hold cli's own functions, which reach the library through
@@ -552,8 +547,7 @@ def _manifest(spec: SweepSpec, resolved: dict) -> dict:
         start, stop, steps = spec.sweep_range
         params["sweep_key"] = spec.sweep_key
         params["sweep_range"] = f"{_fmt(start)},{_fmt(stop)},{steps}"
-    for key, value in resolved.items():
-        params[key] = _fmt(value)
+    params.update((key, _fmt(value)) for key, value in resolved.items())
     params = dict(sorted(params.items()))
     text = "".join(f"{k}={v}\n" for k, v in params.items())
     return {"input_hash": sha256(text.encode("utf-8")).hexdigest(),
@@ -575,18 +569,18 @@ def _emit_json_value(v) -> str:
     raise TypeError(f"cannot emit {type(v)}")
 
 
-def _render_csv(columns, rows) -> list[str]:
-    return [",".join(columns)] + _format_rows(rows, "\n") + ["\n"]
+def _render_csv(columns, rows: list[str]) -> list[str]:
+    return [",".join(columns)] + rows + ["\n"]
 
 
-def _render_json(manifest: dict, columns, rows, report=None) -> list[str]:
+def _render_json(manifest: dict, columns, rows: list[str], report=None) -> list[str]:
     # The timestamp stays in the sidecar, so identical runs render alike.
     manifest_obj = {k: v for k, v in manifest.items() if k != "timestamp"}
     if report is not None:
         return [_emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"]
     head = (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
             f'"columns": {_emit_json_value(list(columns))}, "rows": [')
-    return [head] + _format_rows(rows, ", ", as_json=True)[1:] + ["]}\n"]
+    return [head] + rows[1:] + ["]}\n"]
 
 
 def _write_files(files: dict) -> None:
@@ -616,8 +610,8 @@ def _write_files(files: dict) -> None:
 
 
 def _sweep_rows(target: _Target, resolved: dict, key: str | None, values: list,
-                state: _RunState) -> list[tuple]:
-    """target.point's rows, or the failure of its first failing point alone:
+                state: _RunState) -> list:
+    """target.point's columns, or the failure of its first failing point alone:
     a domain error first at point i > 0 is raised once the points before pass."""
     try:
         return target.point(resolved, key, values, state)
@@ -637,7 +631,7 @@ def run(spec: SweepSpec) -> int:
     diagnostics, or to stderr after the error line when the run fails.
     """
     key = spec.sweep_key
-    state = _RunState(spec.output_format)
+    state = _RunState(spec.output_format == "json")
     with warnings.catch_warnings(record=True) as caught:
         try:
             resolved = _resolve(spec)
@@ -650,7 +644,8 @@ def run(spec: SweepSpec) -> int:
                 lead = key is not None and key not in target.columns
                 columns = ((key,) if lead else ()) + target.columns
                 values = [None] if key is None else _sweep_values(*spec.sweep_range)
-                rows, report = _sweep_rows(target, resolved, key, values, state), None
+                table = _sweep_rows(target, resolved, key, values, state)
+                rows, report = _format_rows(table, state.as_json), None
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"
         except DomainError as exc:
@@ -664,10 +659,8 @@ def run(spec: SweepSpec) -> int:
     warned = list(dict.fromkeys(str(w.message) for w in caught))
     if failure is None:
         manifest = _manifest(spec, resolved)
-        if spec.output_format == "json":
-            primary = _render_json(manifest, columns, rows, report=report)
-        else:
-            primary = _render_csv(columns, rows)
+        primary = (_render_json(manifest, columns, rows, report=report) if state.as_json
+                   else _render_csv(columns, rows))
         if warned:
             manifest["diagnostics"] = {"warnings": warned}
         sidecar = [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]

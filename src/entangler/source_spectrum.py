@@ -116,29 +116,38 @@ def _si(z: float) -> float:
     return total
 
 
-def _bracket(l_x: float, r_coulomb: float, reg_delta: float) -> float:
-    """F(L) - F(delta) of build_hmatrix's log-Coulomb term; ln(x/R) is
-    ln x - ln R where x/R underflows to 0, and nan where 2 pi/L overflows
-    (so does the box term pi^2/(2 m* L^2) of that L)."""
+def _log_ratio(x, r_coulomb) -> np.ndarray:
+    """ln(x/R) of each x > 0 by math.log per sample, which np.log differs
+    from by 1 ulp on some arguments; ln x - ln R where x/R underflows to 0."""
+    x, r = (a.ravel() for a in np.broadcast_arrays(x, r_coulomb))
+    ratio = x / r
+    logs = np.fromiter(map(math.log, np.where(ratio, ratio, 1.0).tolist()), float, len(x))
+    for i in np.flatnonzero(ratio == 0).tolist():
+        logs[i] = math.log(x[i]) - math.log(r[i])
+    return logs
+
+
+def _bracket(l_x: float, reg_delta: float, log_l: float, log_delta: float) -> float:
+    """F(L) - F(delta) of build_hmatrix's log-Coulomb term from ln(L/R) and ln(delta/R);
+    nan where 2 pi/L overflows (so does the box term pi^2/(2 m* L^2) of that L)."""
     c = 2.0 * math.pi / l_x
     if math.isinf(c):
         return math.nan
 
-    def antiderivative(x: float) -> float:
-        ratio = x / r_coulomb
-        log_x = math.log(ratio) if ratio else math.log(x) - math.log(r_coulomb)
+    def antiderivative(x: float, log_x: float) -> float:
         return x * log_x - x - (math.sin(c * x) * log_x - _si(c * x)) / c
 
-    return antiderivative(l_x) - antiderivative(reg_delta)
+    return antiderivative(l_x, log_l) - antiderivative(reg_delta, log_delta)
 
 
 def _log_coulomb(p: SourceParams):
     """-(beta/L) [F(L) - F(delta)], the log-Coulomb term of build_hmatrix.
     The bracket depends on l_x, r_coulomb and reg_delta only, so it is
     taken once, or once per point where one of them is an array."""
-    fields = np.broadcast_arrays(p.l_x, p.r_coulomb, p.reg_delta)
-    bracket = [_bracket(*point) for point in zip(*(f.ravel().tolist() for f in fields))]
-    return -(p.beta / p.l_x) * np.reshape(bracket, fields[0].shape)
+    l_x, r, delta = np.broadcast_arrays(p.l_x, p.r_coulomb, p.reg_delta)
+    bracket = list(map(_bracket, l_x.ravel().tolist(), delta.ravel().tolist(),
+                       _log_ratio(l_x, r).tolist(), _log_ratio(delta, r).tolist()))
+    return -(p.beta / p.l_x) * np.reshape(bracket, l_x.shape)
 
 
 def build_hmatrix(p: SourceParams) -> HMatrix2:
@@ -195,10 +204,9 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
 
     The common diagonal density is the kinetic constants plus
     (m* w^2 / 2)(x^2 + y^2) and the regularized log term, the off-diagonal
-    density alpha k, both weighted by |phi(x)|^2. The log term is taken per
-    point with math.log, which np.log differs from by 1 ulp on some
-    arguments. A value that is not finite raises ValueError naming its
-    column (x, y or an energy).
+    density alpha k, both weighted by |phi(x)|^2. The log term is
+    _log_ratio's, per point. A value that is not finite raises ValueError
+    naming its column (x, y or an energy).
     """
     x_values = [float(x) for x in x_values]
     for x in x_values:
@@ -211,8 +219,7 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
         x = np.repeat(x_values, len(ys))
         y = np.tile(ys, len(x_values))
         weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
-        ratio = np.maximum(np.abs(x - y), p.reg_delta) / p.r_coulomb
-        log_term = -p.beta * np.fromiter(map(math.log, ratio.tolist()), float, len(ratio))
+        log_term = -p.beta * _log_ratio(np.maximum(np.abs(x - y), p.reg_delta), p.r_coulomb)
         dens = (kinetic + 0.5 * p.m_eff * omega2 * (x * x + y * y) + log_term) * weight
         off = p.alpha_r * p.k * weight
     s = spin_split(HMatrix2(h11=dens, h12=off, h21=off, h22=dens))

@@ -796,31 +796,36 @@ def test_clean_run_sidecar_has_no_diagnostics(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt):
-    """A chart of more rows than one rendered piece holds, written to a file
-    and to standard output, equals the table rendered as one string."""
-    config = f"target=source_delta_e\nx_count=3\ny_points=401\nformat={fmt}"
-    assert 3 * 401 > 2 * cli._PIECE_ROWS
-    cfg, out = write_config(tmp_path, config), tmp_path / f"chart.{fmt}"
-    assert main(["source", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["source", "--config", cfg]) == 0
-    text = out.read_text(encoding="utf-8")
-    assert capsys.readouterr().out == text
-    spec = parse_config(config)
-    resolved = cli._resolve(spec)
-    rows, _ = cli._source_chart(resolved, None)
-    # text cells (x, y, delta_e) as they are, floats per value
-    cells = [[v if isinstance(v, str) else format(v, ".17g") for v in r] for r in rows]
-    if fmt == "csv":
-        expected = "".join(",".join(r) + "\n" for r in [list(cli._CHART_COLUMNS)] + cells)
-    else:
-        manifest = {k: v for k, v in cli._manifest(spec, resolved).items()
-                    if k != "timestamp"}
-        lines = ", ".join("[" + ", ".join(r) + "]" for r in cells)
-        expected = (f'{{"manifest": {cli._emit_json_value(manifest)}, '
-                    f'"columns": {cli._emit_json_value(list(cli._CHART_COLUMNS))}, '
-                    f'"rows": [{lines}]}}\n')
-        assert len(json.loads(text)["rows"]) == 3 * 401
-    assert text == expected
+    """A chart of more rows than one rendered piece holds, in x blocks of
+    fewer rows than a piece and of more, written to a file and to standard
+    output, equals its table rendered as one string, every cell per value
+    from chart_delta_e's floats."""
+    for x_count, y_points in ((3, 401), (2, 1100)):
+        sets = (f"x_count={x_count}", f"y_points={y_points}")
+        config = f"target=source_delta_e\n{sets[0]}\n{sets[1]}\nformat={fmt}"
+        assert x_count * y_points > 2 * cli._PIECE_ROWS
+        cfg, out = write_config(tmp_path, config), tmp_path / f"chart{x_count}.{fmt}"
+        assert main(["source", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["source", "--config", cfg]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text
+        spec = parse_config(config)
+        resolved = cli._resolve(spec)
+        points, s = chart_points(["--set", sets[0], "--set", sets[1]])
+        cells = [[format(v, ".17g") for v in xy + r] for xy, r in zip(points, zip(
+            s.e_up.tolist(), s.e_down.tolist(), s.delta_e.tolist()))]
+        if fmt == "csv":
+            expected = "".join(",".join(r) + "\n"
+                               for r in [list(cli._CHART_COLUMNS)] + cells)
+        else:
+            manifest = {k: v for k, v in cli._manifest(spec, resolved).items()
+                        if k != "timestamp"}
+            lines = ", ".join("[" + ", ".join(r) + "]" for r in cells)
+            expected = (f'{{"manifest": {cli._emit_json_value(manifest)}, '
+                        f'"columns": {cli._emit_json_value(list(cli._CHART_COLUMNS))}, '
+                        f'"rows": [{lines}]}}\n')
+            assert len(json.loads(text)["rows"]) == x_count * y_points
+        assert text == expected, (x_count, y_points)
 
 
 # One process, the same parser: each option present in one call and absent
@@ -905,7 +910,7 @@ RENDER_CASES = [
 def chart_points(args):
     """The (x, y) floats of a chart's rows, row-major, from its --set pairs
     (x_count interior cross-sections l_x (i + 1) / (x_count + 1), y on the
-    uniform grid), and the delta_e floats that chart_delta_e gives them."""
+    uniform grid), and the energies that chart_delta_e gives them."""
     r = {"x_count": 5, "y_min": -2.0, "y_max": 2.0, "y_points": 21,
          **dataclasses.asdict(SourceParams())}
     for pair in (args[i + 1] for i, a in enumerate(args) if a == "--set"):
@@ -915,38 +920,42 @@ def chart_points(args):
     xs = [r["l_x"] * (i + 1) / (n + 1) for i in range(n)]
     ys = np.linspace(r["y_min"], r["y_max"], r["y_points"]).tolist()
     p = SourceParams(**{f.name: r[f.name] for f in dataclasses.fields(SourceParams)})
-    delta_e = chart_delta_e(p, xs, Grid1D(r["y_min"], r["y_max"], r["y_points"])).delta_e
-    return [(x, y) for x in xs for y in ys], delta_e.tolist()
+    s = chart_delta_e(p, xs, Grid1D(r["y_min"], r["y_max"], r["y_points"]))
+    return [(x, y) for x in xs for y in ys], s
 
 
 def test_row_templates_match_per_value_formatting(tmp_path, monkeypatch):
     """Every target, defaults and one sweep, CSV and JSON: the rendered text
-    equals a per-value format(v, ".17g") rendering of the same table. A
-    chart's x, y and delta_e cells come as text: each must be
-    format(v, ".17g") of the grid value, or of the float delta_e of its
-    row, that it stands for, which the reference then renders."""
-    tables = []
-    for name in ("_render_csv", "_render_json"):
+    equals a per-value format(v, ".17g") rendering of the same table, the
+    columns that _format_rows renders. A chart renders its rows from the
+    texts of its grid values and of each x block's delta_e, without
+    _format_rows: its reference is chart_delta_e's floats at the grid
+    points, every cell of them."""
+    calls = {"_format_rows": [], "_render_csv": [], "_render_json": []}
+    for name, recorded in calls.items():
         original = getattr(cli, name)
 
-        def recording(*args, _original=original, **kwargs):
-            tables.append((args, kwargs))
+        def recording(*args, _original=original, _recorded=recorded, **kwargs):
+            _recorded.append((args, kwargs))
             return _original(*args, **kwargs)
         monkeypatch.setattr(cli, name, recording)
     kinds = set()
     for i, args in enumerate(RENDER_CASES):
         for fmt in ("csv", "json"):
             out = tmp_path / f"{i}.{fmt}"
-            tables.clear()
+            for recorded in calls.values():
+                recorded.clear()
             assert main(args + ["--format", fmt, "--out", str(out)]) == 0
-            (table_args, kwargs), = tables
-            rows = table_args[-1]
-            if rows and isinstance(rows[0][0], str):
-                points, delta_e = chart_points(args)
-                assert [r[:2] for r in rows] == [
-                    (format(x, ".17g"), format(y, ".17g")) for x, y in points]
-                assert [r[4] for r in rows] == [format(d, ".17g") for d in delta_e]
-                rows = [xy + r[2:4] + (d,) for xy, r, d in zip(points, rows, delta_e)]
+            (table_args, kwargs), = calls["_render_" + fmt]
+            if calls["_format_rows"]:
+                ((columns, *_), _), = calls["_format_rows"]
+                rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                  for c in columns)))
+            else:
+                assert args[0] == "source" and "sweep_key" not in " ".join(args)
+                points, s = chart_points(args)
+                rows = [xy + r for xy, r in zip(points, zip(
+                    s.e_up.tolist(), s.e_down.tolist(), s.delta_e.tolist()))]
             if fmt == "csv":
                 columns = table_args[0]
                 expected = "".join(

@@ -89,9 +89,10 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
 # term 1 / (4 m lambda^2) whose denominator underflows; sweeps whose first
 # failing point is not finite and whose later point is out of domain; a
 # Coulomb radicand 1/2 whose squares overflow; source log terms of an x / R
-# that underflows and of a 2 pi / l_x that overflows; a Rashba splitting far
-# below the diagonal, also in a chart whose diagonal squares overflow; and
-# gate alphas past ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
+# that underflows, in a chart where an x is a y and in a sweep, and of a
+# 2 pi / l_x that overflows; a Rashba splitting far below the diagonal,
+# also in a chart whose diagonal squares overflow; and gate alphas past
+# ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
@@ -107,6 +108,8 @@ REACH_RUNS = (("channel", "potential=harmonic"),
               ("twoqubit", "lambda=1e300", "fermi_l=1e300", "coulomb_k=0.5"),
               ("source", "reg_delta=5e-324", "r_coulomb=2", "sweep_key=k",
                "sweep_range=1,1,1"),
+              ("source", "l_x=2", "x_count=1", "y_min=-1", "y_max=1", "y_points=3",
+               "reg_delta=5e-324", "r_coulomb=2"),
               ("source", "l_x=1e-322", "reg_delta=5e-324", "sweep_key=k",
                "sweep_range=1,1,1"),
               ("source", "sweep_key=k", "sweep_range=1e-8,1e-6,3"),
@@ -130,7 +133,8 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
             runs.append((f"{command} default {fmt} file",
                          [command, "--format", fmt, "--out", "out"]))
             runs.append((f"{command} default {fmt} stdout", [command, "--format", fmt]))
-    for nx, ny in ((1, 3), (3, 401), (50, 401)):
+    # 2x1100: an x block of more rows than one output piece holds
+    for nx, ny in ((1, 3), (3, 401), (50, 401), (2, 1100)):
         for fmt in ("csv", "json"):
             runs.append((f"source chart {nx}x{ny} {fmt}",
                          ["source", "--format", fmt, "--out", "out"]
