@@ -1,6 +1,6 @@
 """Numerical toolkit for a solid-state exchange-coupled two-qubit entangler.
 
-Subpackages by role:
+Subpackages by role, each imported on first use (``entangler.gates``):
 
 * ``numerics`` - erfcx, small dense eigen solvers, and an adaptive
   quadrature that the program no longer calls.
@@ -17,8 +17,6 @@ Subpackages by role:
 
 __version__ = "0.1.0"
 
-from . import channel_qlm, gates, numerics, source_spectrum, twoqubit_channel
-
 __all__ = [
     "__version__",
     "numerics",
@@ -27,3 +25,10 @@ __all__ = [
     "twoqubit_channel",
     "gates",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from importlib import import_module
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

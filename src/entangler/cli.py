@@ -26,19 +26,12 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Callable
 
+# Set before numpy loads: 4x4 matrices at most, so a BLAS worker pool only spins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .channel_qlm import (ChannelPotentialParams, QlmConfig, channel_potential,
-                          coulomb_profile, harmonic_reference_potential,
-                          qlm_spectrum)
-from .gates import (BELL_LABELS, CNOT, SQRT_SWAP, SWAP, Gate4, TwoQubitState,
-                    apply, bell_state, cnot_from_sqrt_swap, concurrence,
-                    exchange_evolution_expm, gate_fidelity, u_swap_alpha)
 from .numerics import DomainError, Grid1D, check_finite, eigen_small
-from .source_spectrum import SourceParams, build_hmatrix, chart_delta_e, spin_split
-from .twoqubit_channel import (ALONG_X, ALONG_Y, TwoQubitMatrix, TwoQubitParams,
-                               build_matrix, claimed_vs_numeric, expectations)
 
 # CPython's own SHA-256, as random.py takes its own SHA-512: importing
 # hashlib also maps OpenSSL's libcrypto, about 3.5 MiB of resident memory in
@@ -327,6 +320,7 @@ def _params(cls, resolved: dict, aliases: dict):
 
 
 def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list:
+    from .source_spectrum import SourceParams, build_hmatrix, spin_split
     swept = np.array(values)
     p = _params(SourceParams, {**resolved, key: swept}, _TARGETS[TARGET_SOURCE].aliases)
     s = spin_split(build_hmatrix(p))
@@ -338,6 +332,7 @@ def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> l
 def _source_chart(resolved: dict, state: _RunState) -> tuple:
     """The rows as _format_rows renders them; only e_up and e_down go through %, and
     y, x and delta_e (2 |alpha_r k| |phi(x)|^2, one per x block) are formatted once."""
+    from .source_spectrum import SourceParams, chart_delta_e
     p = _params(SourceParams, resolved, _TARGETS[TARGET_SOURCE].aliases)
     x_values = _sweep_values(0.0, p.l_x, resolved["x_count"] + 2)[1:-1]  # finite as l_x is
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
@@ -358,6 +353,8 @@ def _channel_point(resolved: dict, key: str | None, values: list,
                    state: _RunState) -> list:
     """One QLM run per point, in sweep order, so the first failing point
     raises. qlm_spectrum checks that every e_n is finite."""
+    from .channel_qlm import (ChannelPotentialParams, QlmConfig, channel_potential,
+                              coulomb_profile, harmonic_reference_potential, qlm_spectrum)
     swept, ns, es = [], [], []
     profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
     for value in values:
@@ -386,6 +383,7 @@ def _twoqubit_point(resolved: dict, key: str, values: list, state: _RunState) ->
     """Every point in one array pass: the finite matrices go through one
     stacked solve and the others get NaN eigenvalues, so the first row that
     is not finite fails, at h0 or hr as build_matrix names them."""
+    from .twoqubit_channel import TwoQubitMatrix, TwoQubitParams, expectations
     swept = np.array(values)
     p = _params(TwoQubitParams, {**resolved, key: swept}, _TARGETS[TARGET_TWOQUBIT].aliases)
     h0, hr = (np.broadcast_to(a, swept.shape) for a in expectations(p))
@@ -398,6 +396,8 @@ def _twoqubit_point(resolved: dict, key: str, values: list, state: _RunState) ->
 
 
 def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
+    from .twoqubit_channel import (TwoQubitParams, build_matrix, claimed_vs_numeric,
+                                   expectations)
     p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
     report = claimed_vs_numeric(build_matrix(*expectations(p)))
     # np.max, not max: Python's max passes over a NaN residual
@@ -412,6 +412,8 @@ def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
 def _gate_constants() -> tuple:
     """The Bell states and the alpha-independent columns of a gates row,
     computed on the first call in a process. Callers only read them."""
+    from .gates import (BELL_LABELS, CNOT, Gate4, TwoQubitState, apply, bell_state,
+                        cnot_from_sqrt_swap, concurrence, gate_fidelity)
     bells = [bell_state(label) for label in BELL_LABELS]
     _, cnot = cnot_from_sqrt_swap()
     s = 1.0 / math.sqrt(2.0)
@@ -424,6 +426,7 @@ def _gate_constants() -> tuple:
 def _gate_point(resolved: dict, key: str | None, values: list, state: _RunState) -> list:
     """One row per alpha, alpha by alpha. The gates are unitary and their
     phases have unit modulus, so a row is finite where its alpha is."""
+    from .gates import SQRT_SWAP, SWAP, exchange_evolution_expm, gate_fidelity, u_swap_alpha
     bells, alpha_independent = _gate_constants()
     alphas = [resolved["alpha"]] if key is None else values
     swap, sqrt_swap, deviation, fidelity = [], [], [], []
@@ -451,9 +454,9 @@ def _render_gate_matrix(gate, as_json: bool) -> list[str]:
                        _format_rows(pairs.reshape(4, 8).T))
 
 
-# The records hold cli's own functions, which reach the library through
-# module globals: a wrapper installed on a module attribute (as the
-# benchmark's tracer does) then sees every call.
+# The records hold cli's own functions, which import their target's module and
+# read its functions when called: a run loads only that module, and a wrapper
+# on a module attribute (as the benchmark's tracer installs) sees every call.
 _TARGETS = {
     TARGET_SOURCE: _Target(
         command="source",
@@ -510,7 +513,7 @@ _TARGETS = {
             "alpha_r": (float, 0.2, "Rashba strength"),
             "coulomb_k": (float, 0.0, "screened Coulomb strength"),
             "fermi_l": (float, 1.0, "Fermi length"),
-            "wave_direction": (_choice(ALONG_Y, ALONG_X), ALONG_Y,
+            "wave_direction": (_choice("along_y", "along_x"), "along_y",
                                "direction of the plane wave"),
         },
         sweepable=("omega", "k", "alpha_r", "coulomb_k", "lambda"),

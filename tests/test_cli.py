@@ -235,7 +235,7 @@ class TestRun:
         point does not build."""
         def unused(m):
             raise AssertionError("a sweep point built the eigen report")
-        monkeypatch.setattr(cli, "claimed_vs_numeric", unused)
+        monkeypatch.setattr("entangler.twoqubit_channel.claimed_vs_numeric", unused)
         out = tmp_path / "k.csv"
         spec = parse_config("target=twoqubit_eigen\nsweep_key=k\n"
                             "sweep_range=0.7,0.7,1\n"
@@ -794,6 +794,15 @@ def test_clean_run_sidecar_has_no_diagnostics(tmp_path):
     assert "diagnostics" not in json.loads(Path(f"{out}.manifest.json").read_text())
 
 
+def assert_same_rows(text, expected, sep):
+    """text == expected, failing at the first row that differs instead of in
+    a diff of megabyte texts: str.split at sep is undone by sep.join."""
+    rows, expected_rows = text.split(sep), expected.split(sep)
+    for i, (row, expected_row) in enumerate(zip(rows, expected_rows)):
+        assert row == expected_row, f"row {i} differs"
+    assert len(rows) == len(expected_rows)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt):
     """A chart of more rows than one rendered piece holds, in x blocks of
@@ -825,7 +834,7 @@ def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt)
                         f'"columns": {cli._emit_json_value(list(cli._CHART_COLUMNS))}, '
                         f'"rows": [{lines}]}}\n')
             assert len(json.loads(text)["rows"]) == x_count * y_points
-        assert text == expected, (x_count, y_points)
+        assert_same_rows(text, expected, "\n" if fmt == "csv" else "], [")
 
 
 # One process, the same parser: each option present in one call and absent
@@ -1013,6 +1022,67 @@ def test_no_scipy_module_loaded_by_any_target(all_targets_in_one_process):
 def test_openssl_not_loaded_by_any_target(all_targets_in_one_process):
     # the manifest hash uses CPython's built-in SHA-256, not hashlib's OpenSSL
     assert all_targets_in_one_process["openssl"] is False
+
+
+_COLD_PROBE = """
+import contextlib, io, json, os, sys
+from entangler.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+threads = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads and len(threads)}))
+"""
+
+
+def cold_start(args, openblas=None) -> dict:
+    """One command in a fresh interpreter, OPENBLAS_NUM_THREADS unset or set
+    to openblas: its exit code, the modules it loaded and what it saw."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, module", [
+    ("source", "source_spectrum"), ("channel", "channel_qlm"),
+    ("twoqubit", "twoqubit_channel"), ("gates", "gates")])
+def test_cold_command_loads_only_its_target_module(command, module):
+    """A fresh run imports numerics and its own library module, no other, and
+    starts numpy with one OpenBLAS thread: no worker pool beside it."""
+    result = cold_start([command])
+    assert result["code"] == 0
+    assert {m for m in result["modules"] if m.startswith("entangler")} == {
+        "entangler", "entangler.cli", f"entangler.{module}", "entangler.numerics"}
+    assert result["openblas"] == "1"
+    assert result["threads"] in (None, 1)
+
+
+def test_cold_command_keeps_the_callers_openblas_setting():
+    assert cold_start(["gates"], openblas="2")["openblas"] == "2"
+
+
+def test_package_import_loads_no_submodule_until_used():
+    probe = ("import json, sys, entangler\n"
+             "before = sorted(m for m in sys.modules if m.startswith(('entangler', 'numpy')))\n"
+             "from entangler import channel_qlm\n"
+             "print(json.dumps([before, entangler.gates is sys.modules['entangler.gates'],\n"
+             "                  channel_qlm is sys.modules['entangler.channel_qlm']]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["entangler"], True, True]
+
+
+def test_package_names_no_module_it_does_not_have():
+    import entangler
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        entangler.cli_main
 
 
 # Property tests of the README contracts. Only the size keys (n_points,

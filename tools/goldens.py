@@ -79,10 +79,12 @@ CONFIG_RUNS = (
 )
 # Source parameters off the defaults, within the benchmark's chart ranges.
 BENCH_CHART = ("m_eff=1.13", "omega=0.87", "alpha_r=0.31", "l_x=3.07", "k=1.29")
-# Values outside a domain whose message names a parameter field.
+# Values outside a domain whose message names a parameter field, and words
+# that a key's choice of words does not hold.
 DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
                ("channel", "iterations=0"), ("twoqubit", "coulomb_k=0.5", "lambda=2"),
-               ("twoqubit", "coulomb_k=0.5", "lambda=2e300", "fermi_l=1e300"))
+               ("twoqubit", "coulomb_k=0.5", "lambda=2e300", "fermi_l=1e300"),
+               ("twoqubit", "wave_direction=diag"), ("channel", "potential=cubic"))
 # Runs that reach code no run above reaches: the harmonic preset, erfcx's
 # asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), a zero
 # kinetic denominator in a chart and in its one-point sweep, a zero-point
