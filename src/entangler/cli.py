@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -48,12 +49,12 @@ __all__ = ["SweepSpec", "ConfigError", "parse_config", "run", "main"]
 
 STDOUT_MARKER = "-"
 
-# Largest accepted sweep_range step count: one row per step is computed and
-# held in memory before anything is written, so an unbounded count could run
-# for hours and exhaust memory.
+# Largest accepted sweep_range step count: the computed columns of every step
+# are held (and checked) before anything is written, so an unbounded count
+# could run for hours and exhaust memory. Their text is not held; it streams.
 MAX_SWEEP_STEPS = 100_000
 
-# Largest accepted source chart, x_count * y_points rows, held in memory
+# Largest accepted source chart, x_count * y_points rows, whose arrays are held
 # before anything is written for the same reason (50x the 50 x 401 chart).
 MAX_CHART_POINTS = 1_000_000
 
@@ -61,8 +62,10 @@ MAX_CHART_POINTS = 1_000_000
 # computes n_points samples, so this bounds the work of a run.
 MAX_CHANNEL_SAMPLES = 1_000_000
 
-# Rows per piece of rendered output. A table is rendered and written piece
-# by piece, so no string or encoded buffer holds a whole megabyte chart.
+# Rows per piece of rendered output. A table is rendered piece by piece as it
+# is written, from its computed arrays, so a run never holds its whole text.
+# Every computation and check is done before the first byte; only a failure
+# of rendering itself (say, MemoryError) can follow part of it on stdout.
 _PIECE_ROWS = 512
 
 TARGET_SOURCE = "source_delta_e"
@@ -279,22 +282,21 @@ def _fmt(v) -> str:
     return _field(v) % v
 
 
-def _format_rows(columns, as_json: bool = False) -> list[str]:
-    """The columns (arrays or lists of one length) as CSV lines or JSON arrays in
-    pieces of at most _PIECE_ROWS rows, each led by the row separator as an item
-    of its own. A piece is one % on copies of the row template, a field per
-    column of its first value's kind, on values interleaved by slice assignment."""
-    columns = [(np.take(_JSON_BOOL, c) if as_json and c.dtype == bool else c).tolist()
+def _format_rows(columns, as_json: bool = False):
+    """The columns (arrays or lists of one length) as CSV lines or JSON arrays, yielded
+    in pieces of at most _PIECE_ROWS rows, each led by the row separator as an item of
+    its own. A piece is one % on copies of the row template, a field per column of its
+    first value's kind, on its slice of each column as Python values, interleaved."""
+    columns = [np.take(_JSON_BOOL, c) if as_json and c.dtype == bool else c
                for c in map(np.asarray, columns)]
     sep, comma, start, end = _LAYOUT[as_json]
-    template = start + comma.join(_field(c[0]) for c in columns) + end
-    pieces, n, width = [], len(columns[0]), len(columns)
+    template = start + comma.join(_field(c[0].item()) for c in columns) + end
+    n, width = len(columns[0]), len(columns)
     for i in range(0, n, _PIECE_ROWS):
         flat = [None] * width * min(_PIECE_ROWS, n - i)
         for j, column in enumerate(columns):
-            flat[j::width] = column[i:i + _PIECE_ROWS]
-        pieces += [sep, sep.join([template] * (len(flat) // width)) % tuple(flat)]
-    return pieces
+            flat[j::width] = column[i:i + _PIECE_ROWS].tolist()
+        yield from (sep, sep.join([template] * (len(flat) // width)) % tuple(flat))
 
 
 # Point and single-run functions. Each dump file (dump_l, dump_matrix)
@@ -339,14 +341,16 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     s = chart_delta_e(p, x_values, grid)
     sep, comma, start, end = _LAYOUT[state.as_json]
     ys = [_fmt(y) + comma + "%.17g" + comma + "%.17g" for y in grid.points().tolist()]
-    blocks = np.column_stack((s.e_up, s.e_down)).reshape(len(x_values), -1).tolist()
-    pieces = []
-    for x, d, block in zip(x_values, s.delta_e[::len(ys)].tolist(), blocks):
-        lead, tail = start + _fmt(x) + comma, comma + _fmt(d) + end
-        for j in range(0, len(ys), _PIECE_ROWS):
-            template = lead + (tail + sep + lead).join(ys[j:j + _PIECE_ROWS]) + tail
-            pieces += [sep, template % tuple(block[2 * j:2 * (j + _PIECE_ROWS)])]
-    return pieces, None
+    blocks = np.column_stack((s.e_up, s.e_down)).reshape(len(x_values), -1)
+
+    def pieces():  # a block's energies become Python floats a piece at a time
+        for x, d, block in zip(x_values, s.delta_e[::len(ys)].tolist(), blocks):
+            lead, tail = start + _fmt(x) + comma, comma + _fmt(d) + end
+            for j in range(0, len(ys), _PIECE_ROWS):
+                template = lead + (tail + sep + lead).join(ys[j:j + _PIECE_ROWS]) + tail
+                yield sep
+                yield template % tuple(block[2 * j:2 * (j + _PIECE_ROWS)].tolist())
+    return pieces(), None
 
 
 def _channel_point(resolved: dict, key: str | None, values: list,
@@ -446,7 +450,7 @@ def _gate_point(resolved: dict, key: str | None, values: list, state: _RunState)
             + [[v] * len(alphas) for v in alpha_independent])
 
 
-def _render_gate_matrix(gate, as_json: bool) -> list[str]:
+def _render_gate_matrix(gate, as_json: bool):
     pairs = np.stack([gate.matrix.real, gate.matrix.imag], axis=-1)  # 4x4x(re, im)
     if as_json:
         return [_emit_json_value({"matrix": pairs.tolist()}) + "\n"]
@@ -572,27 +576,28 @@ def _emit_json_value(v) -> str:
     raise TypeError(f"cannot emit {type(v)}")
 
 
-def _render_csv(columns, rows: list[str]) -> list[str]:
-    return [",".join(columns)] + rows + ["\n"]
+def _render_csv(columns, rows):
+    return itertools.chain((",".join(columns),), rows, ("\n",))
 
 
-def _render_json(manifest: dict, columns, rows: list[str], report=None) -> list[str]:
+def _render_json(manifest: dict, columns, rows, report=None):
     # The timestamp stays in the sidecar, so identical runs render alike.
     manifest_obj = {k: v for k, v in manifest.items() if k != "timestamp"}
     if report is not None:
         return [_emit_json_value({"manifest": manifest_obj, "report": report}) + "\n"]
     head = (f'{{"manifest": {_emit_json_value(manifest_obj)}, '
             f'"columns": {_emit_json_value(list(columns))}, "rows": [')
-    return [head] + rows[1:] + ["]}\n"]
+    return itertools.chain((head,), itertools.islice(rows, 1, None), ("]}\n",))
 
 
-def _write_files(files: dict) -> None:
-    """Write every path -> pieces entry, piece by piece, or none of them.
+def _write_files(files: dict, stdout) -> None:
+    """Write every path -> pieces entry, piece by piece, or none of them, and
+    the stdout pieces to standard output once every temp file is whole.
 
     Each file goes to a temp file beside its target, and the temps replace
-    their targets only once all of them are written; a directory is no
-    target. On failure the temps are removed and the OSError is raised
-    again, naming the target path.
+    their targets only after that; a directory is no target. On any failure
+    the temps are removed and the exception is raised again, an OSError
+    naming the target path or standard output.
     """
     temps = {}
     try:
@@ -603,13 +608,17 @@ def _write_files(files: dict) -> None:
             with open(tmp, "x", encoding="utf-8", newline="") as fh:
                 temps[path] = tmp
                 fh.writelines(pieces)
+        path = "standard output"
+        sys.stdout.writelines(stdout)
         for path, tmp in temps.items():
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp in temps.values():
             if os.path.exists(tmp):
                 os.remove(tmp)
-        raise OSError(exc.errno, exc.strerror, path) from None
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _sweep_rows(target: _Target, resolved: dict, key: str | None, values: list,
@@ -628,8 +637,9 @@ def run(spec: SweepSpec) -> int:
     """Execute a spec: compute the table, then write output plus manifest.
 
     The spec is validated as it stands when run is called, so a spec changed
-    after parse_config runs as changed or fails as a config error. Nothing
-    is written on failure; errors go to stderr with the target named. Each
+    after parse_config runs as changed or fails as a config error. No file is
+    written on failure (stdout only when rendering fails partway), and errors
+    go to stderr with the target named. Each
     distinct warning raised while computing goes once to the sidecar's
     diagnostics, or to stderr after the error line when the run fails.
     """
@@ -667,20 +677,22 @@ def run(spec: SweepSpec) -> int:
         if warned:
             manifest["diagnostics"] = {"warnings": warned}
         sidecar = [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
-        if spec.output_path != STDOUT_MARKER:
+        to_stdout = spec.output_path == STDOUT_MARKER
+        if not to_stdout:
             state.files[spec.output_path] = primary
             state.files[spec.output_path + ".manifest.json"] = sidecar
         try:
-            _write_files(state.files)
+            _write_files(state.files, primary if to_stdout else ())
         except OSError as exc:
             failure = 2, f"{spec.target}: cannot write {exc.filename}: {exc.strerror}"
+        except Exception as exc:  # rendering failed; no file was renamed into place
+            failure = 1, f"{spec.target}: computation failed: {exc}"
     if failure is not None:
         code, line = failure
         sys.stderr.write(line + "\n" + "".join(
             f"{spec.target}: warning: {message}\n" for message in warned))
         return code
-    if spec.output_path == STDOUT_MARKER:
-        sys.stdout.writelines(primary)
+    if to_stdout:
         sys.stderr.writelines(sidecar)
     return 0
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -835,6 +837,79 @@ def test_chart_in_many_pieces_equals_one_string_rendering(tmp_path, capsys, fmt)
                         f'"rows": [{lines}]}}\n')
             assert len(json.loads(text)["rows"]) == x_count * y_points
         assert_same_rows(text, expected, "\n" if fmt == "csv" else "], [")
+
+
+@pytest.mark.parametrize("out", ["o.csv", "-"])
+@pytest.mark.parametrize("failing_call, error", [
+    (0, RuntimeError), (1, RuntimeError), (1, MemoryError), (1, KeyboardInterrupt)])
+def test_failure_while_rendering_leaves_no_file(tmp_path, monkeypatch, capsys,
+                                                failing_call, error, out):
+    """A table is rendered as it is written. A piece iterator that fails after
+    its first piece, in the dump (call 0) or in the table of three pieces
+    (call 1, once the dump's temp is whole), leaves no target, no manifest
+    and no temp file, also when the table goes to stdout: there the dump is
+    renamed into place only after the table is written. An exception fails
+    the run with exit 1; an interrupt is raised again."""
+    original, calls = cli._format_rows, []
+
+    def format_rows(*args, **kwargs):
+        calls.append(args)
+        pieces = original(*args, **kwargs)
+        yield next(pieces)
+        if len(calls) - 1 == failing_call:
+            raise error("rendering failed")
+        yield from pieces
+    monkeypatch.setattr(cli, "_format_rows", format_rows)
+    monkeypatch.chdir(tmp_path)
+    argv = ["gates", "--set", "dump_matrix=m.csv", "--set", "sweep_key=alpha",
+            "--set", "sweep_range=0,1,1201", "--out", out]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "gate_check: computation failed: rendering failed\n"
+        # on stdout, the header and the first piece of the table came before
+        assert captured.out.startswith("alpha,") == (out == "-" and failing_call == 1)
+    assert len(calls) == failing_call + 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_to_write_stdout_renames_no_dump(tmp_path, monkeypatch, capsys):
+    """Standard output that cannot be written fails the run with exit 2,
+    naming it, before the dump file is renamed into place."""
+    class BrokenStdout:
+        def writelines(self, pieces):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert main(["gates", "--set", "dump_matrix=m.csv", "--out", "-"]) == 2
+    assert capsys.readouterr().err == (
+        f"gate_check: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sets, fmt, bound", [
+    # a 20 MB chart: its peak is below the size of its text
+    (("x_count=200", "y_points=1000"), "json", 1.0),
+    # a 7 MB sweep: the Python lists of its columns come close to the text
+    (("sweep_key=k", "sweep_range=-1,2,100000"), "csv", 2.0)])
+def test_a_run_holds_its_arrays_not_its_text(tmp_path, sets, fmt, bound):
+    """The traced peak of a run that writes a large table, measured with
+    tracemalloc (deterministic, unlike RSS), stays below a bound in units of
+    the size of the file it writes: its text is written piece by piece as
+    it is rendered, so no run holds all of it."""
+    out = tmp_path / "out"
+    argv = ["source", "--format", fmt, "--out", str(out)]
+    argv += [a for pair in sets for a in ("--set", pair)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * out.stat().st_size, (peak, out.stat().st_size)
 
 
 # One process, the same parser: each option present in one call and absent
