@@ -92,29 +92,23 @@ class SweepSpec:
     output_path: str = STDOUT_MARKER
 
 
-@dataclass
-class _RunState:
-    """What the points of one run share."""
-
-    as_json: bool
-    files: dict = field(default_factory=dict)  # path -> pieces; dumps first
-
-
 @dataclass(frozen=True)
 class _Target:
     """Everything the CLI knows about one target. A point function maps the
-    resolved dict, the swept key and the list of its values to the columns
-    of all their rows; a run without a sweep is a sweep of one, with key
-    None. A single run that is not one point returns (rendered rows, report),
-    and a report is the JSON output in place of the table."""
+    resolved dict, the swept key, the list of its values and whether the run
+    is JSON to (the columns of all their rows, its dumps): dumps maps each
+    dump file's path to the pieces of its table, which describes the first
+    point. A run without a sweep is a sweep of one, with key None. A single
+    run that is not one point returns (rendered rows, report), and a report
+    is the JSON output in place of the table. Neither writes a file."""
 
     command: str
     schema: dict[str, tuple]  # key -> (parser, default, help)
     sweepable: tuple[str, ...]
     aliases: dict[str, str]  # params field -> config key, where they differ
     columns: tuple[str, ...]  # of a point's rows; a sweep leads with its key
-    point: Callable[[dict, str | None, list, _RunState], list]
-    single: Callable[[dict, _RunState], tuple] | None = None
+    point: Callable[[dict, str | None, list, bool], tuple]
+    single: Callable[[dict, bool], tuple] | None = None
     single_columns: tuple[str, ...] | None = None  # of single's rows
 
 
@@ -311,27 +305,22 @@ _REPORT_COLUMNS = ("h0", "hr_re", "hr_im", "max_residual", "eigenvalue_set_dista
                    "hermitian", "degenerate")
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _params(cls, resolved: dict, aliases: dict):
     """A params dataclass with each field from its config key in resolved."""
-    return cls(**{f: resolved[aliases.get(f, f)] for f in _field_names(cls)})
+    return cls(**{f.name: resolved[aliases.get(f.name, f.name)] for f in fields(cls)})
 
 
-def _source_point(resolved: dict, key: str, values: list, state: _RunState) -> list:
+def _source_point(resolved: dict, key: str, values: list, as_json: bool) -> tuple:
     from .source_spectrum import SourceParams, build_hmatrix, spin_split
     swept = np.array(values)
     p = _params(SourceParams, {**resolved, key: swept}, _TARGETS[TARGET_SOURCE].aliases)
     s = spin_split(build_hmatrix(p))
     columns = [swept, s.e_up, s.e_down, s.delta_e]
     check_finite((key,) + _SOURCE_COLUMNS, columns)
-    return columns
+    return columns, {}
 
 
-def _source_chart(resolved: dict, state: _RunState) -> tuple:
+def _source_chart(resolved: dict, as_json: bool) -> tuple:
     """The rows as _format_rows renders them; only e_up and e_down go through %, and
     y, x and delta_e (2 |alpha_r k| |phi(x)|^2, one per x block) are formatted once."""
     from .source_spectrum import SourceParams, chart_delta_e
@@ -339,7 +328,7 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     x_values = _sweep_values(0.0, p.l_x, resolved["x_count"] + 2)[1:-1]  # finite as l_x is
     grid = Grid1D(resolved["y_min"], resolved["y_max"], resolved["y_points"])
     s = chart_delta_e(p, x_values, grid)
-    sep, comma, start, end = _LAYOUT[state.as_json]
+    sep, comma, start, end = _LAYOUT[as_json]
     ys = [_fmt(y) + comma + "%.17g" + comma + "%.17g" for y in grid.points().tolist()]
     blocks = np.column_stack((s.e_up, s.e_down)).reshape(len(x_values), -1)
 
@@ -353,13 +342,13 @@ def _source_chart(resolved: dict, state: _RunState) -> tuple:
     return pieces(), None
 
 
-def _channel_point(resolved: dict, key: str | None, values: list,
-                   state: _RunState) -> list:
+def _channel_point(resolved: dict, key: str | None, values: list, as_json: bool) -> tuple:
     """One QLM run per point, in sweep order, so the first failing point
     raises. qlm_spectrum checks that every e_n is finite."""
     from .channel_qlm import (ChannelPotentialParams, QlmConfig, channel_potential,
                               coulomb_profile, harmonic_reference_potential, qlm_spectrum)
-    swept, ns, es = [], [], []
+    swept, ns, es, dumps = [], [], [], {}
+    dump = resolved["dump_l"]
     profiles = {}  # the Coulomb erfcx column per (grid, fermi_l), this sweep only
     for value in values:
         r = resolved if key is None else {**resolved, key: value}
@@ -374,16 +363,15 @@ def _channel_point(resolved: dict, key: str | None, values: list,
                 profiles[shape] = coulomb_profile(y, p.fermi_l)
             v = channel_potential(p, y, profile=profiles.get(shape))
         energies, l_last = qlm_spectrum(p, cfg, v)
-        dump = r["dump_l"]
-        if dump and dump not in state.files:
-            state.files[dump] = _render_csv(("y", "l"), _format_rows([y, l_last]))
+        if dump and not dumps:
+            dumps[dump] = _render_csv(("y", "l"), _format_rows([y, l_last]))
         swept += [value] * len(energies)
         ns += range(1, len(energies) + 1)
         es += energies
-    return ([] if key is None else [swept]) + [ns, es]
+    return ([] if key is None else [swept]) + [ns, es], dumps
 
 
-def _twoqubit_point(resolved: dict, key: str, values: list, state: _RunState) -> list:
+def _twoqubit_point(resolved: dict, key: str, values: list, as_json: bool) -> tuple:
     """Every point in one array pass: the finite matrices go through one
     stacked solve and the others get NaN eigenvalues, so the first row that
     is not finite fails, at h0 or hr as build_matrix names them."""
@@ -396,10 +384,10 @@ def _twoqubit_point(resolved: dict, key: str, values: list, state: _RunState) ->
     ev[finite] = eigen_small(TwoQubitMatrix(h0[finite], hr[finite]).matrix).eigenvalues
     columns = [swept, h0, hr.real, hr.imag, *ev.view(float).T]  # e1_re, e1_im .. e4_im
     check_finite((key, "h0", "hr", "hr") + _TWOQUBIT_COLUMNS[3:], columns)
-    return columns
+    return columns, {}
 
 
-def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
+def _twoqubit_single(resolved: dict, as_json: bool) -> tuple:
     from .twoqubit_channel import (TwoQubitParams, build_matrix, claimed_vs_numeric,
                                    expectations)
     p = _params(TwoQubitParams, resolved, _TARGETS[TARGET_TWOQUBIT].aliases)
@@ -409,7 +397,7 @@ def _twoqubit_single(resolved: dict, state: _RunState) -> tuple:
         report.h0, report.hr.real, report.hr.imag, np.max(report.claimed_residuals),
         report.eigenvalue_set_distance, report.hermitian, report.degenerate)]
     check_finite(_REPORT_COLUMNS, columns)
-    return _format_rows(columns, state.as_json), report.to_json_dict()
+    return _format_rows(columns, as_json), report.to_json_dict()
 
 
 @functools.cache
@@ -427,18 +415,18 @@ def _gate_constants() -> tuple:
                    min(concurrence(b) for b in bells))
 
 
-def _gate_point(resolved: dict, key: str | None, values: list, state: _RunState) -> list:
+def _gate_point(resolved: dict, key: str | None, values: list, as_json: bool) -> tuple:
     """One row per alpha, alpha by alpha. The gates are unitary and their
     phases have unit modulus, so a row is finite where its alpha is."""
     from .gates import SQRT_SWAP, SWAP, exchange_evolution_expm, gate_fidelity, u_swap_alpha
     bells, alpha_independent = _gate_constants()
     alphas = [resolved["alpha"]] if key is None else values
-    swap, sqrt_swap, deviation, fidelity = [], [], [], []
+    swap, sqrt_swap, deviation, fidelity, dumps = [], [], [], [], {}
+    dump = resolved["dump_matrix"]
     for alpha in alphas:
         u = u_swap_alpha(alpha)
-        dump = resolved["dump_matrix"]
-        if dump and dump not in state.files:
-            state.files[dump] = _render_gate_matrix(u, state.as_json)
+        if dump and not dumps:
+            dumps[dump] = _render_gate_matrix(u, as_json)
         projector = sum(
             phase * np.outer(b.amplitudes, b.amplitudes.conj())
             for b, phase in zip(bells, [1.0, 1.0, 1.0, np.exp(1j * alpha)]))
@@ -447,7 +435,7 @@ def _gate_point(resolved: dict, key: str | None, values: list, state: _RunState)
         deviation.append(float(np.abs(u.matrix - projector).max()))
         fidelity.append(gate_fidelity(u, exchange_evolution_expm(alpha)))
     return ([alphas, swap, sqrt_swap, deviation, fidelity]
-            + [[v] * len(alphas) for v in alpha_independent])
+            + [[v] * len(alphas) for v in alpha_independent]), dumps
 
 
 def _render_gate_matrix(gate, as_json: bool):
@@ -622,14 +610,14 @@ def _write_files(files: dict, stdout) -> None:
 
 
 def _sweep_rows(target: _Target, resolved: dict, key: str | None, values: list,
-                state: _RunState) -> list:
-    """target.point's columns, or the failure of its first failing point alone:
-    a domain error first at point i > 0 is raised once the points before pass."""
+                as_json: bool) -> tuple:
+    """target.point's (columns, dumps), or the failure of its first failing point
+    alone: a domain error first at point i > 0 is raised once the points before pass."""
     try:
-        return target.point(resolved, key, values, state)
+        return target.point(resolved, key, values, as_json)
     except DomainError as exc:
         if exc.index:
-            _sweep_rows(target, resolved, key, values[:exc.index], state)
+            _sweep_rows(target, resolved, key, values[:exc.index], as_json)
         raise
 
 
@@ -644,21 +632,22 @@ def run(spec: SweepSpec) -> int:
     diagnostics, or to stderr after the error line when the run fails.
     """
     key = spec.sweep_key
-    state = _RunState(spec.output_format == "json")
+    as_json = spec.output_format == "json"
     with warnings.catch_warnings(record=True) as caught:
         try:
             resolved = _resolve(spec)
             target = _TARGETS[spec.target]
+            dumps = {}
             if key is None and target.single is not None:
                 columns = target.single_columns
-                rows, report = target.single(resolved, state)
+                rows, report = target.single(resolved, as_json)
             else:
                 # a sweep's rows lead with its key; gates rows hold alpha already
                 lead = key is not None and key not in target.columns
                 columns = ((key,) if lead else ()) + target.columns
                 values = [None] if key is None else _sweep_values(*spec.sweep_range)
-                table = _sweep_rows(target, resolved, key, values, state)
-                rows, report = _format_rows(table, state.as_json), None
+                table, dumps = _sweep_rows(target, resolved, key, values, as_json)
+                rows, report = _format_rows(table, as_json), None
         except ConfigError as exc:
             failure = 2, f"config error: {exc}"
         except DomainError as exc:
@@ -672,17 +661,16 @@ def run(spec: SweepSpec) -> int:
     warned = list(dict.fromkeys(str(w.message) for w in caught))
     if failure is None:
         manifest = _manifest(spec, resolved)
-        primary = (_render_json(manifest, columns, rows, report=report) if state.as_json
+        primary = (_render_json(manifest, columns, rows, report=report) if as_json
                    else _render_csv(columns, rows))
         if warned:
             manifest["diagnostics"] = {"warnings": warned}
         sidecar = [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
         to_stdout = spec.output_path == STDOUT_MARKER
-        if not to_stdout:
-            state.files[spec.output_path] = primary
-            state.files[spec.output_path + ".manifest.json"] = sidecar
+        files = dumps if to_stdout else {**dumps, spec.output_path: primary,
+                                         spec.output_path + ".manifest.json": sidecar}
         try:
-            _write_files(state.files, primary if to_stdout else ())
+            _write_files(files, primary if to_stdout else ())
         except OSError as exc:
             failure = 2, f"{spec.target}: cannot write {exc.filename}: {exc.strerror}"
         except Exception as exc:  # rendering failed; no file was renamed into place

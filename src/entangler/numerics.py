@@ -174,7 +174,8 @@ def erfcx(x: float | np.ndarray) -> float | np.ndarray:
     out = np.where(negative, -flat, flat)  # erfcx(|x|), reflected last
     product = out < 8.0  # nan compares false here and below: it stays as is
     t = out[product]
-    # math.exp, not np.exp: the two differ by an ulp on some of these samples.
+    # math.exp, not np.exp: np.exp's last bit depends on numpy's SIMD dispatch
+    # (its AVX-512 kernels differ by an ulp on some of these samples), libm's not.
     out[product] = (np.fromiter(map(math.exp, (t * t).tolist()), float, t.size)
                     * np.fromiter(map(math.erfc, t.tolist()), float, t.size))
     series = out >= 8.0

@@ -117,8 +117,8 @@ def _si(z: float) -> float:
 
 
 def _log_ratio(x, r_coulomb) -> np.ndarray:
-    """ln(x/R) of each x > 0 by math.log per sample, which np.log differs
-    from by 1 ulp on some arguments; ln x - ln R where x/R underflows to 0."""
+    """ln(x/R) of each x > 0 by math.log per sample: np.log's last bit depends on
+    numpy's SIMD dispatch, libm's not. ln x - ln R where x/R underflows to 0."""
     x, r = (a.ravel() for a in np.broadcast_arrays(x, r_coulomb))
     ratio = x / r
     logs = np.fromiter(map(math.log, np.where(ratio, ratio, 1.0).tolist()), float, len(x))

@@ -26,6 +26,7 @@ from entangler.numerics import Grid1D
 from entangler.source_spectrum import SourceParams, build_hmatrix, chart_delta_e
 from entangler.twoqubit_channel import (TwoQubitParams, build_matrix,
                                         claimed_vs_numeric, expectations)
+from target_keys import FLOAT_KEYS, SWEEPABLE
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -289,6 +290,23 @@ class TestRun:
                            for row in payload["matrix"]])
         assert all(len(pair) == 2 for row in payload["matrix"] for pair in row)
         assert np.array_equal(matrix, u_swap_alpha(math.pi).matrix)
+
+    @pytest.mark.parametrize("target, resolved, key, values", [
+        ("gate_check", {"alpha": 0.0, "dump_matrix": "d.csv"}, "alpha", [1.0, 2.0]),
+        ("channel_qlm", {**cli._resolve(SweepSpec("channel_qlm")), "n_points": 101,
+                         "iterations": 1, "dump_l": "d.csv"}, "coulomb_k", [0.0, 0.5])])
+    def test_point_returns_its_first_point_dump_and_writes_nothing(
+            self, tmp_path, monkeypatch, target, resolved, key, values):
+        """A point function returns the table of its first point's dump file
+        as pieces; only run writes files."""
+        monkeypatch.chdir(tmp_path)
+        _, dumps = cli._TARGETS[target].point(resolved, key, values, False)
+        assert list(tmp_path.iterdir()) == [] and list(dumps) == ["d.csv"]
+        text = "".join(dumps["d.csv"])
+        if target == "gate_check":
+            assert text == "".join(cli._render_gate_matrix(u_swap_alpha(1.0), False))
+        else:
+            assert text.startswith("y,l\n") and len(text.splitlines()) == 102
 
     def test_computation_error_exit_one(self, tmp_path, capsys):
         # g=0.01 spreads the 101 points over [0, 75], 0.75 apart: the
@@ -1142,6 +1160,52 @@ def test_cold_command_keeps_the_callers_openblas_setting():
     assert cold_start(["gates"], openblas="2")["openblas"] == "2"
 
 
+_DISPATCH_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+from entangler.cli import main
+from entangler.numerics import erfcx
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        outputs.append([main(argv), out.getvalue()])
+outputs.append(erfcx(np.linspace(-26.0, 26.0, 200_001)).tobytes().hex())
+print(json.dumps(outputs))
+"""
+
+
+def test_source_and_twoqubit_bytes_do_not_depend_on_simd_dispatch():
+    """The source and twoqubit outputs, and erfcx, are the same bytes when
+    numpy dispatches to none of its optional SIMD kernels: erfcx and the
+    source log term take libm's exp and log per sample, whose last bit,
+    unlike np.exp's and np.log's, does not depend on them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    present = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not present:
+        pytest.skip("numpy dispatches to no optional SIMD kernel on this CPU")
+    # the 50 x 401 chart holds log arguments where np.log's kernels differ
+    runs = [["source"], ["source", "--format", "json"],
+            ["source", "--set", "x_count=50", "--set", "y_points=401"],
+            ["source", "--set", "sweep_key=l_x", "--set", "sweep_range=2,4,41"],
+            ["twoqubit", "--format", "json"],
+            ["twoqubit", "--set", "sweep_key=k", "--set", "sweep_range=0,2,41"]]
+    outputs = []
+    for disabled in ("", " ".join(present)):
+        env = child_env()
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert [code for code, _ in outputs[0][:-1]] == [0] * len(runs)
+    assert outputs[1] == outputs[0]
+
+
 def test_package_import_loads_no_submodule_until_used():
     probe = ("import json, sys, entangler\n"
              "before = sorted(m for m in sys.modules if m.startswith(('entangler', 'numpy')))\n"
@@ -1165,18 +1229,6 @@ def test_package_names_no_module_it_does_not_have():
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
 COMMANDS = ("source", "channel", "twoqubit", "gates")
-SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
-             "channel": ("omega", "coulomb_k", "g"),
-             "twoqubit": ("omega", "k", "alpha_r", "coulomb_k", "lambda"),
-             "gates": ("alpha",)}
-FLOAT_KEYS = {
-    "source": ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
-               "reg_delta", "y_min", "y_max"),
-    "channel": ("m_eff", "omega", "a", "coulomb_k", "fermi_l", "g"),
-    "twoqubit": ("m_eff", "omega", "a_b", "lambda", "k", "alpha_r",
-                 "coulomb_k", "fermi_l"),
-    "gates": ("alpha",),
-}
 ENUMS = {"potential": ("quartic", "harmonic"),
          "wave_direction": ("along_y", "along_x")}
 

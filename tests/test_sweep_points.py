@@ -14,19 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from entangler.cli import MAX_SWEEP_STEPS, _sweep_rows, _sweep_values, main
 from entangler.numerics import DomainError, check_finite
-
-SWEEPABLE = {"source": ("m_eff", "omega", "beta", "alpha_r", "l_x", "k"),
-             "channel": ("omega", "coulomb_k", "g"),
-             "twoqubit": ("omega", "k", "alpha_r", "coulomb_k", "lambda"),
-             "gates": ("alpha",)}
-FLOAT_KEYS = {
-    "source": ("m_eff", "omega", "beta", "r_coulomb", "alpha_r", "l_x", "k",
-               "reg_delta"),
-    "channel": ("m_eff", "omega", "a", "coulomb_k", "fermi_l", "g"),
-    "twoqubit": ("m_eff", "omega", "a_b", "lambda", "k", "alpha_r",
-                 "coulomb_k", "fermi_l"),
-    "gates": ("alpha",),
-}
+from target_keys import FLOAT_KEYS, SWEEPABLE
 
 # Ordinary values, and the magnitudes where squares overflow, divisions by
 # an underflowed product fail, and domain checks trip.
@@ -44,7 +32,8 @@ def sweeps(draw, command, key):
     a, b = draw(VALUES), draw(VALUES)
     start, stop, steps = min(a, b), max(a, b), draw(st.integers(2, 4))
     lines = []
-    others = [k for k in FLOAT_KEYS[command] if k != key]
+    # y_min and y_max shape the source chart, which a sweep does not draw
+    others = [k for k in FLOAT_KEYS[command] if k not in (key, "y_min", "y_max")]
     if others and draw(st.booleans()):
         lines.append(f"{draw(st.sampled_from(others))}={draw(VALUES)!r}")
     if command == "channel":
@@ -144,19 +133,19 @@ def test_sweep_rows_fail_at_the_first_failing_point(bad, message):
     of the first failing point is raised, whatever the order of the checks."""
     calls = []
 
-    def point(resolved, key, values, state):
+    def point(resolved, key, values, as_json):
         calls.append(len(values))
         for i in (5, 3):
             if len(values) > i:
                 raise DomainError("x", f"at {i}", i)
         check_finite(("x",), ([math.inf if i == bad else 1.0 for i in values],))
-        return values
+        return values, {"dump": values[:1]}
 
     target = type("Target", (), {"point": staticmethod(point)})
     with pytest.raises(ValueError, match=message):
-        _sweep_rows(target, {}, "x", list(range(8)), None)
+        _sweep_rows(target, {}, "x", list(range(8)), False)
     assert calls == [8, 5, 3]
-    assert _sweep_rows(target, {}, "x", [0, 2], None) == [0, 2]
+    assert _sweep_rows(target, {}, "x", [0, 2], False) == ([0, 2], {"dump": [0]})
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
