@@ -102,8 +102,11 @@ class QlmConfig:
 
 
 def coulomb_profile(y, fermi_l: float):
-    """erfcx(y / (sqrt(2) fermi_l)), the shape of the screened Coulomb term."""
-    return erfcx(np.asarray(y, dtype=float) / (math.sqrt(2.0) * fermi_l))
+    """erfcx(y / (sqrt(2) fermi_l)), the shape of the screened Coulomb term.
+    A quotient that overflows is inf, as in channel_potential."""
+    with np.errstate(all="ignore"):
+        u = np.asarray(y, dtype=float) / (math.sqrt(2.0) * fermi_l)
+    return erfcx(u)
 
 
 def channel_potential(p: ChannelPotentialParams, y, profile=None):

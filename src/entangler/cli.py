@@ -68,6 +68,10 @@ MAX_CHANNEL_SAMPLES = 1_000_000
 # of rendering itself (say, MemoryError) can follow part of it on stdout.
 _PIECE_ROWS = 512
 
+# Points per stacked twoqubit eigen solve: the solver's (n, 4, 4) stacks and
+# their sorted copies are held per chunk, only the eigenvalues per sweep.
+_EIGEN_CHUNK_ROWS = 4096
+
 TARGET_SOURCE = "source_delta_e"
 TARGET_CHANNEL = "channel_qlm"
 TARGET_TWOQUBIT = "twoqubit_eigen"
@@ -372,16 +376,19 @@ def _channel_point(resolved: dict, key: str | None, values: list, as_json: bool)
 
 
 def _twoqubit_point(resolved: dict, key: str, values: list, as_json: bool) -> tuple:
-    """Every point in one array pass: the finite matrices go through one
-    stacked solve and the others get NaN eigenvalues, so the first row that
-    is not finite fails, at h0 or hr as build_matrix names them."""
+    """Every point in one array pass: the finite matrices go through stacked
+    solves of _EIGEN_CHUNK_ROWS at a time and the others get NaN eigenvalues,
+    so the first row that is not finite fails, at h0 or hr as build_matrix
+    names them."""
     from .twoqubit_channel import TwoQubitMatrix, TwoQubitParams, expectations
     swept = np.array(values)
     p = _params(TwoQubitParams, {**resolved, key: swept}, _TARGETS[TARGET_TWOQUBIT].aliases)
     h0, hr = (np.broadcast_to(a, swept.shape) for a in expectations(p))
-    finite = np.isfinite(h0) & np.isfinite(hr)
+    finite = np.flatnonzero(np.isfinite(h0) & np.isfinite(hr))
     ev = np.full((len(values), 4), np.nan, dtype=complex)
-    ev[finite] = eigen_small(TwoQubitMatrix(h0[finite], hr[finite]).matrix).eigenvalues
+    for start in range(0, finite.size, _EIGEN_CHUNK_ROWS):
+        rows = finite[start:start + _EIGEN_CHUNK_ROWS]
+        ev[rows] = eigen_small(TwoQubitMatrix(h0[rows], hr[rows]).matrix).eigenvalues
     columns = [swept, h0, hr.real, hr.imag, *ev.view(float).T]  # e1_re, e1_im .. e4_im
     check_finite((key, "h0", "hr", "hr") + _TWOQUBIT_COLUMNS[3:], columns)
     return columns, {}

@@ -587,13 +587,16 @@ def run_fresh(args, cwd=None):
 
 @pytest.mark.parametrize("command,setting", [
     ("channel", "m_eff=1e300"), ("channel", "g=1e-300"),
+    # y / (sqrt(2) fermi_l) overflows in the Coulomb profile
+    ("channel", "include_vc=1 fermi_l=5e-324 coulomb_k=1"),
     ("source", "l_x=1e300"), ("source", "y_max=1e300"),
     ("twoqubit", "m_eff=1e300"), ("twoqubit", "alpha_r=1e300")])
 def test_overflow_fails_with_one_stderr_line(tmp_path, command, setting):
     # numpy overflows on the way to the non-finite channel energy, chart
     # column or twoqubit report column; only the failure line reaches
     # stderr, with no source path from a RuntimeWarning
-    proc = run_fresh([command, "--set", setting, "--out", "x.csv"], cwd=tmp_path)
+    sets = [a for pair in setting.split() for a in ("--set", pair)]
+    proc = run_fresh([command, *sets, "--out", "x.csv"], cwd=tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1, lines
@@ -921,13 +924,28 @@ def test_a_run_holds_its_arrays_not_its_text(tmp_path, sets, fmt, bound):
     out = tmp_path / "out"
     argv = ["source", "--format", fmt, "--out", str(out)]
     argv += [a for pair in sets for a in ("--set", pair)]
+    peak = traced_peak(argv)
+    assert peak < bound * out.stat().st_size, (peak, out.stat().st_size)
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of main(argv), which must succeed."""
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound * out.stat().st_size, (peak, out.stat().st_size)
+
+
+def test_a_twoqubit_sweep_solves_its_points_in_chunks(tmp_path):
+    """The stacked eigen solve of a 20,000-step sweep holds the (n, 4, 4)
+    arrays of a few thousand points at a time, not of every point: one
+    stack of them all peaked at 8.8 times the size of the file written."""
+    out = tmp_path / "out"
+    peak = traced_peak(["twoqubit", "--out", str(out), "--set", "sweep_key=k",
+                        "--set", "sweep_range=0,2,20000"])
+    assert peak < 4.0 * out.stat().st_size, (peak, out.stat().st_size)
 
 
 # One process, the same parser: each option present in one call and absent

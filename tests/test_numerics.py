@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,13 +143,17 @@ class TestErfcxArray:
         assert float_bits([out]) == float_bits([erfcx(x)])
 
 
-@pytest.mark.parametrize("low, high, log", [(8.0, 1e300, True), (-26.6, 0.0, False)])
+@pytest.mark.parametrize("low, high, log", [(8.0, 1e300, True), (-26.6, 0.0, False),
+                                            (0.0, 8.0, False)])
 def test_erfcx_within_8_ulp_of_scipy(low, high, log):
     # An independent implementation (the Faddeeva package's, in scipy) on
-    # seeded samples of the series and the reflection: every sample takes
-    # one path, so the array-against-scalar tests above compare it with
-    # itself. A log-uniform draw covers [8, 1e300) up to the largest decade.
+    # seeded samples of the series, the reflection and the Taylor table:
+    # every sample takes one path, so the array-against-scalar tests above
+    # compare it with itself. A log-uniform draw covers [8, 1e300) up to the
+    # largest decade. The table is within 1 ulp of the correctly rounded
+    # value, scipy within 4 of it here.
     special = pytest.importorskip("scipy.special")
+    bound = 5 if (low, high) == (0.0, 8.0) else 8
     rng = np.random.default_rng(20)
     if log:
         x = 10.0 ** rng.uniform(math.log10(low), math.log10(high), 20_000)
@@ -156,7 +162,42 @@ def test_erfcx_within_8_ulp_of_scipy(low, high, log):
     ours, ref = erfcx(x), special.erfcx(x)
     assert (ours > 0).all() and (ref > 0).all()
     # positive doubles order as their bit patterns: the difference is in ulps
-    assert np.abs(ours.view(np.int64) - ref.view(np.int64)).max() <= 8
+    assert np.abs(ours.view(np.int64) - ref.view(np.int64)).max() <= bound
+
+
+# Both sides of each interior join k/4 of the Taylor table's intervals.
+ERFCX_JOINS = np.arange(1, 32) / 4.0
+ERFCX_BEFORE_JOINS = np.nextafter(ERFCX_JOINS, 0.0)
+
+
+def test_erfcx_falls_across_each_table_join():
+    # erfcx decreases: a join's left neighbour is not below it, and within
+    # the 2 ulp that two values each within 1 ulp of their own can differ by
+    right, left = erfcx(ERFCX_JOINS), erfcx(ERFCX_BEFORE_JOINS)
+    steps = left.view(np.int64) - right.view(np.int64)
+    assert ((steps >= 0) & (steps <= 2)).all(), steps
+    assert float_bits(erfcx(np.array([0.0, -0.0]))) == float_bits([1.0, 1.0])
+
+
+def test_erfcx_within_1_ulp_of_mpmath_below_8():
+    # The correctly rounded value, from mpmath at 40 digits, on seeded
+    # samples of [0, 8) and at both sides of every join of the table
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.random.default_rng(30).uniform(0.0, 8.0, 6000),
+                        ERFCX_JOINS, ERFCX_BEFORE_JOINS, [0.0, 5e-324, 1e-300]])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.exp(v * v) * mpmath.erfc(v))
+                        for v in map(mpmath.mpf, x.tolist())])
+    assert np.abs(erfcx(x).view(np.int64) - ref.view(np.int64)).max() <= 1
+
+
+def test_committed_erfcx_table_is_the_generators_output():
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "erfcx_table", Path(__file__).resolve().parents[1] / "tools" / "erfcx_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["--check"]) == 0
 
 
 def eigen_residuals(m, sys):

@@ -4,7 +4,7 @@
     python3 tools/bench_pairs.py REV --out BENCH_NN.json --description TEXT
         [--claim WORKLOAD:METRIC]
 
-REV (for example HEAD~) is checked out in a `git worktree` at
+REV (for example HEAD~) is unpacked with `git archive` into
 .bench_work/pairs/parent, and the working tree's files (tracked and
 untracked, not ignored) are copied to .bench_work/pairs/change, so both
 sides run from paths of the same length; both are removed afterwards.
@@ -50,12 +50,15 @@ def git(*args: str) -> subprocess.CompletedProcess:
 
 
 def prepare(rev: str) -> dict[str, Path]:
-    """The two checkouts: REV's worktree and a copy of the working tree."""
+    """The two checkouts: REV's committed files and a copy of the working tree."""
     cleanup()
     dirs = {side: PAIRS_DIR / side for side in SIDES}
-    added = git("worktree", "add", "--detach", str(dirs["parent"]), rev)
-    if added.returncode:
-        raise RuntimeError(added.stderr.strip())
+    dirs["parent"].mkdir(parents=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+    if archive.returncode:
+        raise RuntimeError(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", str(dirs["parent"])], input=archive.stdout,
+                   check=True)
     listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
     for name in filter(None, listed.stdout.split("\0")):
         source = ROOT / name
@@ -69,9 +72,6 @@ def prepare(rev: str) -> dict[str, Path]:
 
 
 def cleanup() -> None:
-    if (PAIRS_DIR / "parent").exists():
-        git("worktree", "remove", "--force", str(PAIRS_DIR / "parent"))
-    git("worktree", "prune")
     shutil.rmtree(PAIRS_DIR, ignore_errors=True)
 
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload W --seed N --seconds {seconds} "
                    "--trace 0",
         "method": "tools/bench_pairs.py: each side from its own checkout (parent from "
-                  "a git worktree, change copied from the working tree) in sibling "
+                  "git archive, change copied from the working tree) in sibling "
                   "directories whose paths have the same length; pairs alternate "
                   "which side runs first (odd seed parent first); seed = pair "
                   "number, the workloads in turn within each seed",

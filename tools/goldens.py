@@ -4,8 +4,8 @@ and on the working tree, and print the runs whose results differ.
 
     python3 tools/goldens.py REV
 
-REV (for example HEAD~) is checked out into a temporary `git worktree`,
-which is removed afterwards. Each run is a fresh interpreter calling
+REV (for example HEAD~) is unpacked with `git archive` into a temporary
+directory, which is removed afterwards. Each run is a fresh interpreter calling
 entangler.cli.main, with PYTHONPATH set to one side's src/, in an empty
 directory of its own; two run at a time. A config-file run finds its file
 there as run.cfg. A run's result is its exit code, stdout, stderr and every
@@ -86,7 +86,9 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
                ("twoqubit", "coulomb_k=0.5", "lambda=2e300", "fermi_l=1e300"),
                ("twoqubit", "wave_direction=diag"), ("channel", "potential=cubic"))
 # Runs that reach code no run above reaches: the harmonic preset, erfcx's
-# asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), a zero
+# asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), every
+# interval of its Taylor table (the grid's y / (sqrt(2) fermi_l) runs over
+# [0, 7.58]), a Coulomb profile whose y / (sqrt(2) fermi_l) overflows, a zero
 # kinetic denominator in a chart and in its one-point sweep, a zero-point
 # term 1 / (4 m lambda^2) whose denominator underflows; sweeps whose first
 # failing point is not finite and whose later point is out of domain; a
@@ -98,6 +100,8 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
+              ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.7", "n_points=401"),
+              ("channel", "include_vc=1", "fermi_l=5e-324", "coulomb_k=1"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170",
                "sweep_key=l_x", "sweep_range=1e-160,1e-160,1"),
@@ -251,17 +255,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = corpus()
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "rev"
-        added = subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                                str(tree), args.rev], capture_output=True, text=True)
-        if added.returncode:
-            sys.stderr.write(added.stderr)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
+                                 capture_output=True)
+        if archive.returncode:
+            sys.stderr.write(archive.stderr.decode())
             return 2
-        try:
-            diffs = compare(tree / "src", ROOT / "src", runs)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tree)], capture_output=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        diffs = compare(Path(tmp) / "src", ROOT / "src", runs)
     sys.stdout.write(report(diffs, len(runs)))
     return 1 if diffs else 0
 
