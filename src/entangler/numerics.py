@@ -34,7 +34,7 @@ __all__ = [
     "is_hermitian",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 class DomainError(ValueError):
@@ -157,53 +157,52 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float,
     return total
 
 
+# (-1)^k (2k-1)!!, k = 0..18: erfcx's asymptotic series in u = 1/(2 x^2)
+# (Abramowitz & Stegun 7.1.23). For x >= 8, u <= 1/128 and term 18 is below 1e-18.
+_TAIL = tuple(float((-1) ** k * math.prod(range(1, 2 * k, 2))) for k in range(19))
+
+
+def _horner(p, coefficients, t):
+    """Horner's rule in place in the array p, which holds the top coefficient:
+    p = p * t + c for each c of the coefficients, highest first."""
+    for c in coefficients:
+        p *= t
+        p += c
+    return p
+
+
 def erfcx(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled complementary error function exp(x^2) * erfc(x), of a float or
     elementwise of an array; a scalar or 0-d input gives a float.
 
     Stable for all real x: the naive product overflows near x = 26.6 and the
-    direct erfc underflows, so |x| >= 8 uses the asymptotic series
-    1/(x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k instead. |x| < 8
-    evaluates the degree-13 Taylor polynomial of erfcx at the centre of its
-    interval of width 1/4 (the generated table in _erfcx_table, after the
-    piecewise design of S. G. Johnson's Faddeeva package), within 1 ulp of
-    the correctly rounded value, with erfcx(0) = 1 exactly. Negative x uses
-    the reflection erfcx(-x) = 2 exp(x^2) - erfcx(x); the function itself
-    overflows to inf once 2 exp(x^2) does (x < -26.64). One vectorised path
-    for all samples, of adds and multiplies and libm's exp: its bits do not
-    depend on numpy's SIMD dispatch, whose np.exp kernels differ in the last
-    bit.
+    direct erfc underflows, so |x| >= 8 takes 19 terms of the asymptotic
+    series 1/(x sqrt(pi)) * sum_k (-1)^k (2k-1)!! / (2 x^2)^k, within 2 ulp.
+    |x| < 8 evaluates the degree-13 Taylor polynomial of erfcx at the centre
+    of its interval of width 1/4 (the generated table in _erfcx_table, after
+    the piecewise design of S. G. Johnson's Faddeeva package), within 1 ulp,
+    with erfcx(0) = 1 exactly. Negative x uses the reflection erfcx(-x) =
+    2 exp(x^2) - erfcx(x); the function itself overflows to inf once
+    2 exp(x^2) does (x < -26.64). Each sample takes a fixed sequence of adds,
+    multiplies and libm's exp: its bits depend neither on the call's other
+    samples nor on numpy's SIMD dispatch, whose np.exp kernels differ.
     """
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
     negative = flat < 0.0
     out = np.where(negative, -flat, flat)  # erfcx(|x|), reflected last
-    taylor = out < 8.0  # nan compares false here and below: it stays as is
-    if taylor.any():
-        from ._erfcx_table import TAYLOR, WIDTH  # on first use: 448 floats to compile
-        t = out[taylor]
-        i = (t * (1.0 / WIDTH)).astype(np.intp)  # t / WIDTH is exact, below 32
-        dt = t - (i + 0.5) * WIDTH
-        c = np.take(TAYLOR, i, axis=1)  # (14, n): c_k of each sample's interval
-        p = c[-1]
-        for c_k in c[-2::-1]:  # Horner, in place in the taken columns
-            p *= dt
-            p += c_k
-        out[taylor] = p
-    series = out >= 8.0
-    with np.errstate(all="ignore"):  # x * x overflows to inf past ~1.3e154
-        if series.any():
-            t = out[series]
-            inv2x2 = 1.0 / (2.0 * t * t)
-            total, term = np.ones(t.size), np.ones(t.size)
-            # Terms shrink for x >= 8, k < 30: once a sample's term is below 1e-18
-            # of its sum, later ones are below half its ulp and leave its bits.
-            for k in range(1, 30):
-                term *= -(2 * k - 1) * inv2x2
-                total += term
-                if (np.abs(term) < 1e-18 * np.abs(total)).all():
-                    break
-            out[series] = total / (t * _SQRT_PI)
+    taylor, tail = out < 8.0, out >= 8.0  # nan is in neither: it stays as is
+    with np.errstate(all="ignore"):  # x * x overflows to inf past ~1.3e154: u = 0
+        if taylor.any():
+            from ._erfcx_table import TAYLOR, WIDTH  # on first use: 448 floats to compile
+            t = out[taylor]
+            i = (t * (1.0 / WIDTH)).astype(np.intp)  # t / WIDTH is exact, below 32
+            c = np.take(TAYLOR, i, axis=1)  # (14, n): c_k of each sample's interval
+            out[taylor] = _horner(c[-1], c[-2::-1], t - (i + 0.5) * WIDTH)
+        if tail.any():
+            t = out[tail]
+            p = _horner(np.full(t.size, _TAIL[-1]), _TAIL[-2::-1], 1.0 / (2.0 * t * t))
+            out[tail] = p / t * _INV_SQRT_PI  # t * sqrt(pi) overflows past ~1e308
         if negative.any():
             x2 = flat[negative] * flat[negative]
             e = np.fromiter(map(math.exp, np.minimum(x2, 709.0).tolist()), float, x2.size)

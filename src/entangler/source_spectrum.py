@@ -118,12 +118,12 @@ def _si(z: float) -> float:
 
 def _log_ratio(x, r_coulomb) -> np.ndarray:
     """ln(x/R) of each x > 0 by math.log per sample: np.log's last bit depends on
-    numpy's SIMD dispatch, libm's not. ln x - ln R where x/R underflows to 0."""
+    numpy's SIMD dispatch, libm's not. ln x - ln R where x/R is 0, subnormal or inf."""
     x, r = (a.ravel() for a in np.broadcast_arrays(x, r_coulomb))
     ratio = x / r
-    logs = np.fromiter(map(math.log, np.where(ratio, ratio, 1.0).tolist()), float, len(x))
-    for i in np.flatnonzero(ratio == 0).tolist():
-        logs[i] = math.log(x[i]) - math.log(r[i])
+    odd = (ratio < 2.0 ** -1022) | np.isinf(ratio)  # 2^-1022: the smallest normal
+    logs = np.fromiter(map(math.log, np.where(odd, x, ratio).tolist()), float, len(x))
+    logs[odd] -= np.fromiter(map(math.log, r[odd].tolist()), float)
     return logs
 
 

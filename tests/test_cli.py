@@ -669,6 +669,30 @@ def test_log_coulomb_term_where_delta_over_r_underflows():
                              "sweep_range=1,1,1", "--out", out]) == (0, "")
             rows.append(Path(out).read_text())
     assert rows[0] == rows[1]
+    # x / R is inf (R = 1e-310, 5e-324) or subnormal (1e-320 / 3): ln x - ln R,
+    # not math.log's inf or a subnormal ratio's lost bits
+    def first_row(*pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "o")
+            assert run_main(["source", "--out", out] + [
+                a for pair in pairs for a in ("--set", pair)]) == (0, "")
+            return [float(v) for v in Path(out).read_text().splitlines()[1].split(",")]
+
+    x, y, e_up = first_row("r_coulomb=1e-310")[:3]
+    dens = 1.0 + 0.5 * (x * x + y * y) - 0.5 * (math.log(x - y) - math.log(1e-310))
+    assert e_up == pytest.approx((dens - 0.2) * 2.0 / math.pi * math.sin(x) ** 2, rel=1e-13)
+    # the bracket F(L) - F(delta) is linear in ln R: with c = 2 pi / L = 2,
+    # ln R moves e_up by (beta / L) ln R (L - delta + sin(c delta) / c)
+    sweep = ("sweep_key=k", "sweep_range=1,1,1")
+    for r in (1e-310, 5e-324):
+        shift = 0.5 / math.pi * math.log(r) * (math.pi - 1e-3 + math.sin(2e-3) / 2.0)
+        assert first_row(f"r_coulomb={r}", *sweep)[1] == pytest.approx(
+            first_row(*sweep)[1] + shift, rel=1e-13)
+    x, y, e_up = first_row("l_x=2", "x_count=1", "y_min=1", "y_max=3", "y_points=3",
+                           "reg_delta=1e-320", "r_coulomb=3")[:3]
+    assert (x, y) == (1.0, 1.0)
+    assert e_up == pytest.approx(math.pi ** 2 / 8.0 + 0.5 + 1.0 - 0.2
+                                 - 0.5 * (math.log(1e-320) - math.log(3.0)), rel=1e-14)
     # 2 pi / l_x overflows: so does the box term, and the row is not finite
     assert run_main(["source", "--set", "l_x=1e-322", "--set", "reg_delta=5e-324",
                      "--set", "sweep_key=k", "--set", "sweep_range=1,1,1",

@@ -179,16 +179,23 @@ def test_erfcx_falls_across_each_table_join():
     assert float_bits(erfcx(np.array([0.0, -0.0]))) == float_bits([1.0, 1.0])
 
 
-def test_erfcx_within_1_ulp_of_mpmath_below_8():
-    # The correctly rounded value, from mpmath at 40 digits, on seeded
-    # samples of [0, 8) and at both sides of every join of the table
+@pytest.mark.parametrize("branch, bound", [("table", 1), ("tail", 2)])
+def test_erfcx_within_ulp_bound_of_mpmath(branch, bound):
+    # The correctly rounded value, from mpmath at 40 digits. The table: seeded
+    # samples of [0, 8) and both sides of every join. The asymptotic tail:
+    # seeded log-uniform samples of [8, 1e6], 8 and the float after it
+    # (mpmath's erfc overflows at 1e300; 1e6 keeps the reference cheap).
     mpmath = pytest.importorskip("mpmath")
-    x = np.concatenate([np.random.default_rng(30).uniform(0.0, 8.0, 6000),
-                        ERFCX_JOINS, ERFCX_BEFORE_JOINS, [0.0, 5e-324, 1e-300]])
+    if branch == "table":
+        x = np.concatenate([np.random.default_rng(30).uniform(0.0, 8.0, 6000),
+                            ERFCX_JOINS, ERFCX_BEFORE_JOINS, [0.0, 5e-324, 1e-300]])
+    else:
+        logs = np.random.default_rng(31).uniform(math.log10(8.0), 6.0, 6000)
+        x = np.concatenate([10.0 ** logs, [8.0, math.nextafter(8.0, 9.0)]])
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.exp(v * v) * mpmath.erfc(v))
                         for v in map(mpmath.mpf, x.tolist())])
-    assert np.abs(erfcx(x).view(np.int64) - ref.view(np.int64)).max() <= 1
+    assert np.abs(erfcx(x).view(np.int64) - ref.view(np.int64)).max() <= bound
 
 
 def test_committed_erfcx_table_is_the_generators_output():

@@ -86,21 +86,24 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
                ("twoqubit", "coulomb_k=0.5", "lambda=2e300", "fermi_l=1e300"),
                ("twoqubit", "wave_direction=diag"), ("channel", "potential=cubic"))
 # Runs that reach code no run above reaches: the harmonic preset, erfcx's
-# asymptotic series (y / (sqrt(2) fermi_l) passes 8 on the grid), every
+# asymptotic tail (y / (sqrt(2) fermi_l) passes 8 on the grid; at the
+# default 4,001 points and fermi_l = 0.5, a quarter of the grid does), every
 # interval of its Taylor table (the grid's y / (sqrt(2) fermi_l) runs over
 # [0, 7.58]), a Coulomb profile whose y / (sqrt(2) fermi_l) overflows, a zero
 # kinetic denominator in a chart and in its one-point sweep, a zero-point
 # term 1 / (4 m lambda^2) whose denominator underflows; sweeps whose first
 # failing point is not finite and whose later point is out of domain; a
 # Coulomb radicand 1/2 whose squares overflow; source log terms of an x / R
-# that underflows, in a chart where an x is a y and in a sweep, and of a
-# 2 pi / l_x that overflows; a Rashba splitting far below the diagonal,
-# also in a chart whose diagonal squares overflow; and gate alphas past
-# ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
+# that underflows to 0, in a chart where an x is a y and in a sweep, of an
+# x / R that is subnormal in such a chart, of an x / R that overflows to inf
+# in a sweep, and of a 2 pi / l_x that overflows; a Rashba splitting far
+# below the diagonal, also in a chart whose diagonal squares overflow; and
+# gate alphas past ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.7", "n_points=401"),
+              ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.5"),
               ("channel", "include_vc=1", "fermi_l=5e-324", "coulomb_k=1"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170"),
               ("source", "m_eff=5e-324", "l_x=1e-160", "reg_delta=1e-170",
@@ -116,6 +119,9 @@ REACH_RUNS = (("channel", "potential=harmonic"),
                "sweep_range=1,1,1"),
               ("source", "l_x=2", "x_count=1", "y_min=-1", "y_max=1", "y_points=3",
                "reg_delta=5e-324", "r_coulomb=2"),
+              ("source", "l_x=2", "x_count=1", "y_min=-1", "y_max=1", "y_points=3",
+               "reg_delta=1e-320", "r_coulomb=3"),
+              ("source", "r_coulomb=5e-324", "sweep_key=k", "sweep_range=1,1,1"),
               ("source", "l_x=1e-322", "reg_delta=5e-324", "sweep_key=k",
                "sweep_range=1,1,1"),
               ("source", "sweep_key=k", "sweep_range=1e-8,1e-6,3"),
