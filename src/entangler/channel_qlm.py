@@ -102,11 +102,12 @@ class QlmConfig:
 
 
 def coulomb_profile(y, fermi_l: float):
-    """erfcx(y / (sqrt(2) fermi_l)), the shape of the screened Coulomb term.
-    A quotient that overflows is inf, as in channel_potential."""
+    """erfcx(u), u = y / (sqrt(2) fermi_l), the shape of the screened Coulomb term;
+    where u overflows, its limit 1/(u sqrt(pi)) from y and fermi_l (V_c -> k/y)."""
+    y = np.asarray(y, dtype=float)
     with np.errstate(all="ignore"):
-        u = np.asarray(y, dtype=float) / (math.sqrt(2.0) * fermi_l)
-    return erfcx(u)
+        u = y / (math.sqrt(2.0) * fermi_l)
+        return np.where(u == math.inf, math.sqrt(2.0 / math.pi) / y * fermi_l, erfcx(u))
 
 
 def channel_potential(p: ChannelPotentialParams, y, profile=None):

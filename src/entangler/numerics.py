@@ -162,6 +162,13 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float,
 _TAIL = tuple(float((-1) ** k * math.prod(range(1, 2 * k, 2))) for k in range(19))
 
 
+def _libm(f, x) -> np.ndarray:
+    """f of the math module on each sample of x, in x's shape: the last bit of numpy's
+    exp, log and sin follows its run-time SIMD dispatch, libm's per sample does not."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _horner(p, coefficients, t):
     """Horner's rule in place in the array p, which holds the top coefficient:
     p = p * t + c for each c of the coefficients, highest first."""
@@ -184,8 +191,8 @@ def erfcx(x: float | np.ndarray) -> float | np.ndarray:
     with erfcx(0) = 1 exactly. Negative x uses the reflection erfcx(-x) =
     2 exp(x^2) - erfcx(x); the function itself overflows to inf once
     2 exp(x^2) does (x < -26.64). Each sample takes a fixed sequence of adds,
-    multiplies and libm's exp: its bits depend neither on the call's other
-    samples nor on numpy's SIMD dispatch, whose np.exp kernels differ.
+    multiplies and libm's exp (_libm): its bits depend neither on the call's
+    other samples nor on numpy's SIMD dispatch.
     """
     a = np.asarray(x, dtype=float)
     flat = a.ravel()
@@ -205,7 +212,7 @@ def erfcx(x: float | np.ndarray) -> float | np.ndarray:
             out[tail] = p / t * _INV_SQRT_PI  # t * sqrt(pi) overflows past ~1e308
         if negative.any():
             x2 = flat[negative] * flat[negative]
-            e = np.fromiter(map(math.exp, np.minimum(x2, 709.0).tolist()), float, x2.size)
+            e = _libm(math.exp, np.minimum(x2, 709.0))
             out[negative] = np.where(x2 > 709.0, math.inf, 2.0 * e - out[negative])
     out = out.reshape(a.shape)
     return float(out) if out.ndim == 0 else out

@@ -23,7 +23,7 @@ treatment of the 2D logarithmic interaction.
 
 Any SourceParams field may hold an array, one value per point of a sweep;
 build_hmatrix and spin_split then work on every point at once, and each
-point gets the bits the scalar arithmetic gives it. An overflow, or a
+point gets the bits it gets alone. An overflow, or a
 division by an underflowed zero, is inf or nan in its point's entries or
 energies, for the caller to check; the only error raised is a DomainError.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, Grid1D, check_domain, check_finite, first_failure
+from .numerics import DomainError, Grid1D, _libm, check_domain, check_finite, first_failure
 
 __all__ = [
     "SourceParams",
@@ -93,61 +93,46 @@ class SpinSplitResult:
     delta_e: float
 
 
-def _transverse_density(p: SourceParams, x: float) -> float:
-    """|phi(x)|^2 for the normalized sin profile on [0, L_x]; where pi x
-    overflows, the phase is taken on x/4 and L_x/4, which keeps its bits."""
-    s = 1.0 if math.isfinite(math.pi * x) else 0.25
-    return (2.0 / p.l_x) * math.sin(math.pi * (x * s) / (p.l_x * s)) ** 2
-
-
 # Terms of the Si power series: at z = 2 pi the 22nd term is below 1e-20.
 _SI_TERMS = 22
 
 
-def _si(z: float) -> float:
-    """Sine integral Si(z) = int_0^z sin(t)/t dt for 0 <= z <= 2 pi, by its
-    power series sum_n (-1)^n z^(2n+1) / ((2n+1) (2n+1)!) (Abramowitz &
-    Stegun 5.2.14) with a fixed number of terms."""
-    term = z
-    total = z
+def _si(z):
+    """Sine integral Si(z) = int_0^z sin(t)/t dt for 0 <= z <= 2 pi, of a float
+    or elementwise of an array, by its power series sum_n (-1)^n z^(2n+1) /
+    ((2n+1) (2n+1)!) (Abramowitz & Stegun 5.2.14) with a fixed number of terms."""
+    term = total = z
     for n in range(1, _SI_TERMS):
-        term *= -z * z / ((2 * n) * (2 * n + 1))
-        total += term / (2 * n + 1)
+        term = term * (-z * z / ((2 * n) * (2 * n + 1)))
+        total = total + term / (2 * n + 1)
     return total
 
 
 def _log_ratio(x, r_coulomb) -> np.ndarray:
-    """ln(x/R) of each x > 0 by math.log per sample: np.log's last bit depends on
-    numpy's SIMD dispatch, libm's not. ln x - ln R where x/R is 0, subnormal or inf."""
-    x, r = (a.ravel() for a in np.broadcast_arrays(x, r_coulomb))
-    ratio = x / r
+    """ln(x/R) of each x > 0, by libm per sample (numerics._libm), in the
+    broadcast shape; ln x - ln R where x/R is 0, subnormal or inf."""
+    ratio = x / r_coulomb
     odd = (ratio < 2.0 ** -1022) | np.isinf(ratio)  # 2^-1022: the smallest normal
-    logs = np.fromiter(map(math.log, np.where(odd, x, ratio).tolist()), float, len(x))
-    logs[odd] -= np.fromiter(map(math.log, r[odd].tolist()), float)
+    logs = _libm(math.log, np.where(odd, x, ratio))
+    if odd.any():
+        logs[odd] -= _libm(math.log, np.broadcast_to(r_coulomb, odd.shape)[odd])
     return logs
-
-
-def _bracket(l_x: float, reg_delta: float, log_l: float, log_delta: float) -> float:
-    """F(L) - F(delta) of build_hmatrix's log-Coulomb term from ln(L/R) and ln(delta/R);
-    nan where 2 pi/L overflows (so does the box term pi^2/(2 m* L^2) of that L)."""
-    c = 2.0 * math.pi / l_x
-    if math.isinf(c):
-        return math.nan
-
-    def antiderivative(x: float, log_x: float) -> float:
-        return x * log_x - x - (math.sin(c * x) * log_x - _si(c * x)) / c
-
-    return antiderivative(l_x, log_l) - antiderivative(reg_delta, log_delta)
 
 
 def _log_coulomb(p: SourceParams):
     """-(beta/L) [F(L) - F(delta)], the log-Coulomb term of build_hmatrix.
-    The bracket depends on l_x, r_coulomb and reg_delta only, so it is
-    taken once, or once per point where one of them is an array."""
-    l_x, r, delta = np.broadcast_arrays(p.l_x, p.r_coulomb, p.reg_delta)
-    bracket = list(map(_bracket, l_x.ravel().tolist(), delta.ravel().tolist(),
-                       _log_ratio(l_x, r).tolist(), _log_ratio(delta, r).tolist()))
-    return -(p.beta / p.l_x) * np.reshape(bracket, l_x.shape)
+    The bracket depends on l_x, r_coulomb and reg_delta only: one pass over
+    the points where one of them is an array, on numpy scalars where none
+    is. nan where 2 pi/L overflows (so does the box term pi^2/(2 m* L^2))."""
+    l_x, r, delta = (a[()] for a in np.broadcast_arrays(p.l_x, p.r_coulomb, p.reg_delta))
+    c = 2.0 * math.pi / l_x
+    c = np.where(np.isinf(c), math.nan, c)[()]  # math.sin(inf) raises, sin(nan) is nan
+
+    def antiderivative(x):
+        cx, log_x = c * x, _log_ratio(x, r)
+        return x * log_x - x - (_libm(math.sin, cx) * log_x - _si(cx)) / c
+
+    return -(p.beta / p.l_x) * (antiderivative(l_x) - antiderivative(delta))
 
 
 def build_hmatrix(p: SourceParams) -> HMatrix2:
@@ -208,17 +193,22 @@ def chart_delta_e(p: SourceParams, x_values, y_grid: Grid1D) -> SpinSplitResult:
     _log_ratio's, per point. A value that is not finite raises ValueError
     naming its column (x, y or an energy).
     """
-    x_values = [float(x) for x in x_values]
-    for x in x_values:
-        if not 0.0 < x < p.l_x:
-            raise ValueError(f"x = {x} outside the open interval (0, {p.l_x})")
+    x_values = np.asarray(x_values, dtype=float)
+    bad = first_failure(~((0.0 < x_values) & (x_values < p.l_x)), x_values)
+    if bad:
+        raise ValueError(f"x = {bad[1]} outside the open interval (0, {p.l_x})")
     with np.errstate(all="ignore"):  # a value that overflows is inf, named below
         l_x2, k2, omega2 = np.float_power((p.l_x, p.k, p.omega), 2)
         kinetic = math.pi ** 2 / (2.0 * p.m_eff * l_x2) + k2 / (2.0 * p.m_eff)
+        # |phi(x)|^2 of the sin profile on [0, L_x] by libm's sin and pow; where
+        # pi x overflows, the phase is taken on x/4 and L_x/4, which keeps its bits.
+        scale = np.where(np.isfinite(math.pi * x_values), 1.0, 0.25)
+        phase = math.pi * (x_values * scale) / (p.l_x * scale)
+        profile = (2.0 / p.l_x) * _libm(lambda a: math.sin(a) ** 2, phase)
         ys = y_grid.points()
         x = np.repeat(x_values, len(ys))
         y = np.tile(ys, len(x_values))
-        weight = np.repeat([_transverse_density(p, xv) for xv in x_values], len(ys))
+        weight = np.repeat(profile, len(ys))
         log_term = -p.beta * _log_ratio(np.maximum(np.abs(x - y), p.reg_delta), p.r_coulomb)
         dens = (kinetic + 0.5 * p.m_eff * omega2 * (x * x + y * y) + log_term) * weight
         off = p.alpha_r * p.k * weight

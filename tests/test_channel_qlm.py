@@ -55,6 +55,16 @@ class TestChannelPotential:
         expected = 0.125 + math.sqrt(math.pi / 2.0)  # erfcx(0) = 1
         assert channel_potential(p, 0.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("fermi_l", [1e-300, 1e-308])
+    def test_coulomb_term_keeps_its_limit_where_the_profile_argument_overflows(
+            self, fermi_l):
+        # at 1e-308, y / (sqrt(2) fermi_l) is inf for y = 3 and 5; the term's
+        # limit there is k / y, not 0
+        y = np.array([0.5, 2.0, 3.0, 5.0])
+        on = channel_potential(ChannelPotentialParams(
+            coulomb_k=1.0, fermi_l=fermi_l, include_vc=True), y)
+        np.testing.assert_allclose(on - channel_potential(QUARTIC, y), 1.0 / y, rtol=1e-12)
+
     def test_vectorized(self):
         y = np.linspace(-2.0, 2.0, 9)
         v = channel_potential(QUARTIC, y)

@@ -72,6 +72,10 @@ class TestBuildHMatrix:
         z = np.linspace(0.0, 2.0 * math.pi, 1001)
         assert _si(0.0) == 0.0
         assert max(abs(_si(v) - sici(v)[0]) for v in z) <= 1e-14
+        # an array takes the same operations as each of its elements alone
+        got = _si(z)
+        assert got.tolist() == [_si(v) for v in z.tolist()]
+        assert np.abs(got - sici(z)[0]).max() <= 1e-14
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -180,6 +184,10 @@ class TestChartDeltaE:
     def test_rejects_x_outside_width(self):
         with pytest.raises(ValueError):
             chart_delta_e(SourceParams(**DEFAULTS), [math.pi], self.GRID)
+        # the first x outside (0, l_x) is named, not a later one
+        with pytest.raises(ValueError, match=r"^x = 4\.0 outside the open interval"):
+            chart_delta_e(SourceParams(**DEFAULTS), np.array([1.0, 4.0, -1.0, 2.0]),
+                          self.GRID)
 
     def test_non_finite_energy_names_its_column(self):
         # k^2 overflows to inf, as in build_hmatrix, instead of raising

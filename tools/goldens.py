@@ -96,9 +96,11 @@ DOMAIN_RUNS = (("source", "y_points=1"), ("twoqubit", "lambda=-1"),
 # Coulomb radicand 1/2 whose squares overflow; source log terms of an x / R
 # that underflows to 0, in a chart where an x is a y and in a sweep, of an
 # x / R that is subnormal in such a chart, of an x / R that overflows to inf
-# in a sweep, and of a 2 pi / l_x that overflows; a Rashba splitting far
-# below the diagonal, also in a chart whose diagonal squares overflow; and
-# gate alphas past ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
+# in a sweep, and of a 2 pi / l_x that overflows, in a one-point sweep and
+# at every point of an l_x sweep; an l_x sweep over six decades, whose
+# log-Coulomb brackets take one array pass; a Rashba splitting far below the
+# diagonal, also in a chart whose diagonal squares overflow; and gate alphas
+# past ~1e20, where 3 alpha / 4 may round (at 3e23 it does).
 REACH_RUNS = (("channel", "potential=harmonic"),
               ("channel", "potential=harmonic", "omega=1e300"),
               ("channel", "include_vc=1", "coulomb_k=0.5", "fermi_l=0.2", "n_points=401"),
@@ -124,6 +126,9 @@ REACH_RUNS = (("channel", "potential=harmonic"),
               ("source", "r_coulomb=5e-324", "sweep_key=k", "sweep_range=1,1,1"),
               ("source", "l_x=1e-322", "reg_delta=5e-324", "sweep_key=k",
                "sweep_range=1,1,1"),
+              ("source", "sweep_key=l_x", "sweep_range=0.001,1000,2001", "reg_delta=1e-5"),
+              ("source", "sweep_key=l_x", "sweep_range=1e-310,1e-300,3",
+               "reg_delta=5e-324"),
               ("source", "sweep_key=k", "sweep_range=1e-8,1e-6,3"),
               ("source", "sweep_key=beta", "sweep_range=1e5,1e9,5"),
               ("source", "m_eff=1e-200"),
